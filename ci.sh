@@ -16,6 +16,12 @@ cargo test -q
 echo '== bench harness bins (kernel- and query-ablation rot gate)'
 cargo build --release -p skycube-bench --bins
 
+echo '== perfbench: every workload at smoke size, twice, every reply checked'
+# The benchmark is its own Cargo workspace built against these crates by
+# path, so a library change that breaks its build or its reply checks
+# fails here before it fails the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo '== query-layer smoke: every --source answers a 2-line workload'
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
@@ -56,19 +62,14 @@ if ! grep -q -- '--shards must be at least 1' "$SMOKE_DIR/shards0.err"; then
     exit 1
 fi
 
-echo '== queries bench smoke: adaptive routes + memo self-verify'
-# --verify asserts indexed == scan, all five merge routes fired across the
-# sweep plus the engineered gallop/winner shapes, and memo hits on the
-# warmed sweep; the greps are belt-and-braces checks that the coverage
-# summary actually landed in the JSON.
+echo '== queries bench smoke: indexed == scan + memo self-verify'
+# --verify asserts indexed == scan, zero demotions behind the fallback
+# ladder, and memo hits on the warmed sweep; the grep is a belt-and-braces
+# check that the memo summary actually landed in the JSON.
 ./target/release/queries --smoke --verify --json "$SMOKE_DIR/queries.json" \
     > "$SMOKE_DIR/queries.out"
-if ! grep -q '"non_heap_routes_fired": [2-9]' "$SMOKE_DIR/queries.json"; then
-    echo "queries smoke: fewer than 2 non-heap merge routes fired" >&2
-    exit 1
-fi
-if ! grep -q '"routes_fired": 5' "$SMOKE_DIR/queries.json"; then
-    echo "queries smoke: not all five merge routes fired" >&2
+if ! grep -q '"memo_exact": [1-9]' "$SMOKE_DIR/queries.json"; then
+    echo "queries smoke: the warmed sweep never hit the memo" >&2
     exit 1
 fi
 
@@ -208,7 +209,7 @@ fi
 printf 'stats\nshutdown\n' | ./target/release/skycube connect \
     --socket "$SMOKE_DIR/daemon.sock" > "$SMOKE_DIR/daemon.stats"
 for needle in 'queries_total 6' 'shed_total 0' 'connections_total' \
-    'tuner_observations' 'route_table_flat_max_runs'; do
+    'route_flat_queries' 'memo_exact'; do
     if ! grep -q "^$needle" "$SMOKE_DIR/daemon.stats"; then
         echo "daemon smoke: metric '$needle' missing from stats scrape" >&2
         exit 1
@@ -336,47 +337,11 @@ if [ -S "$SMOKE_DIR/drain.sock" ]; then
     exit 1
 fi
 
-echo '== autotune smoke: tuned answers byte-identical to the default table'
-# A workload long enough to force tuner explorations; the forced-route
-# ablation guarantees the tuned run prints exactly the untuned answers.
-# (--autotune attaches to the plain indexed source, so no --fallback and
-# no k >= 2 skybands here.)
-: > "$SMOKE_DIR/tune-workload.txt"
-for _ in 1 2 3 4 5 6 7 8; do
-    grep -v 'skyband 2' "$SMOKE_DIR/verbs.txt" >> "$SMOKE_DIR/tune-workload.txt"
-done
-for flag in '' '--autotune'; do
-    # shellcheck disable=SC2086
-    ./target/release/skycube query --data "$SMOKE_DIR/data.csv" \
-        $flag --workload "$SMOKE_DIR/tune-workload.txt" \
-        | grep -v '^#' > "$SMOKE_DIR/out.tune$flag"
-done
-if ! diff "$SMOKE_DIR/out.tune" "$SMOKE_DIR/out.tune--autotune" > /dev/null; then
-    echo "autotune smoke: tuned answers diverged from the default table" >&2
-    exit 1
-fi
-
-echo '== partition smoke: --partition hash is an explained refusal'
-if ./target/release/skycube build --data "$SMOKE_DIR/data.csv" \
-    --out "$SMOKE_DIR/hash.cube" --shards 2 --partition hash \
-    > /dev/null 2> "$SMOKE_DIR/hash.err"; then
-    echo "partition smoke: --partition hash was accepted" >&2
-    exit 1
-fi
-if ! grep -q 'contiguous global-id ranges' "$SMOKE_DIR/hash.err"; then
-    echo "partition smoke: hash-partition diagnostic missing" >&2
-    exit 1
-fi
-
-echo '== serve bench smoke: daemon ≡ batch, autotune on ≡ off'
+echo '== serve bench smoke: daemon ≡ batch'
 ./target/release/serve --smoke --verify --json "$SMOKE_DIR/serve.json" \
     > "$SMOKE_DIR/serve.out"
 if ! grep -q '"verified_subspaces": 15' "$SMOKE_DIR/serve.json"; then
     echo "serve bench smoke: subspace verification did not run" >&2
-    exit 1
-fi
-if ! grep -q '"autotune_equal": 1' "$SMOKE_DIR/serve.json"; then
-    echo "serve bench smoke: autotune equivalence not proven" >&2
     exit 1
 fi
 

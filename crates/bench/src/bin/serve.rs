@@ -1,7 +1,7 @@
 //! `serve` — the resident daemon against repeated one-shot processes.
 //!
 //! The tentpole claim of `skycube serve` is that keeping one warm engine —
-//! serving index, subspace cache, scratch pool, route tuner — resident
+//! serving index, subspace cache, scratch pool — resident
 //! across requests beats paying process start-up, cube load and index
 //! validation on every invocation. This harness measures exactly that:
 //!
@@ -15,8 +15,8 @@
 //!   repetitions as socket round trips against the warm state.
 //!
 //! `--verify` additionally pins correctness: the daemon's protocol replies
-//! (autotune on *and* off) must be byte-identical to an in-process
-//! [`run_batch`] over every non-empty subspace.
+//! must be byte-identical to an in-process [`run_batch`] over every
+//! non-empty subspace.
 //!
 //! Defaults are scaled down; `--full` runs the acceptance workload
 //! (n = 1 000 000, d = 5).
@@ -280,9 +280,8 @@ fn main() {
     let pool_shed = metric(&scrape_burst, "pool_shed_connections");
     stop_daemon(&socket_burst, burst_daemon);
 
-    // --- verify: daemon ≡ batch, autotuned ≡ default table ---------------
+    // --- verify: daemon ≡ batch ------------------------------------------
     let mut verified_subspaces = 0i64;
-    let mut autotune_equal = true;
     if args.verify {
         let queries = parse_workload(&workload).unwrap_or_else(|e| die(&format!("workload: {e}")));
         let stellar_cube = Stellar::new().compute(&ds);
@@ -308,16 +307,7 @@ fn main() {
                  {pool_shed} counted by the daemon"
             ));
         }
-
-        let socket2 = dir.join("daemon-noautotune.sock");
-        let plain = spawn_daemon(&bin, &csv, &socket2, &["--no-autotune"]);
-        let untuned = roundtrip(&socket2, &workload);
-        stop_daemon(&socket2, plain);
-        autotune_equal = untuned == expect;
-        if !autotune_equal {
-            die("autotuned daemon diverged from the default route table");
-        }
-        println!("verified: {verified_subspaces} subspace answers ≡ run_batch, autotune on ≡ off");
+        println!("verified: {verified_subspaces} subspace answers ≡ run_batch");
     }
     stop_daemon(&socket, daemon);
 
@@ -384,8 +374,7 @@ fn main() {
         .num("daemon_qps", qps)
         .int("daemon_queries_total", served)
         .int("shed_total", shed)
-        .int("verified_subspaces", verified_subspaces)
-        .int("autotune_equal", i64::from(autotune_equal));
+        .int("verified_subspaces", verified_subspaces);
     write_json_report(&args, "serve", &[record]);
     std::fs::remove_dir_all(&dir).ok();
 }

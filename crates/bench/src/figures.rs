@@ -464,11 +464,11 @@ pub fn kernels_ablation(args: &HarnessArgs) -> Vec<JsonRecord> {
 pub fn queries_ablation(args: &HarnessArgs) -> Vec<JsonRecord> {
     use skycube_parallel::Parallelism;
     use skycube_serve::{
-        run_batch, Answer, CachedSource, FallbackSource, IndexedCubeSource, Query, ScanCubeSource,
+        run_batch, CachedSource, FallbackSource, IndexedCubeSource, Query, ScanCubeSource,
         SkylineSource,
     };
-    use skycube_stellar::{compute_cube, IndexScratch, MergeRoute};
-    use skycube_types::{DimMask, ObjId};
+    use skycube_stellar::compute_cube;
+    use skycube_types::DimMask;
 
     let (n, d) = if args.full {
         (100_000, 6)
@@ -615,181 +615,20 @@ pub fn queries_ablation(args: &HarnessArgs) -> Vec<JsonRecord> {
     println!("cold/cached: {cache_speedup:.2}×");
     println!();
 
-    // (c) Adaptive-route coverage: which merge routes the router actually
-    // picked during one timed sweep, plus the lattice-memo outcome split.
-    // Counters come from the per-batch `IndexStats` delta of the best rep
-    // in (a), so they describe exactly one `repeated` pass.
-    println!("### (c) adaptive merge-route coverage over the sweep");
+    // Lattice-memo outcomes of one timed sweep: the per-batch `IndexStats`
+    // delta of the best rep in (a), so they describe exactly one
+    // `repeated` pass.
     let istats = indexed_out
         .stats
         .index
-        .expect("indexed source reports route stats");
-    table_header(&["route", "queries", "nanos"]);
-    for route in MergeRoute::ALL {
-        let r = istats.routes[route.index()];
-        row(&[
-            route.name().to_string(),
-            r.queries.to_string(),
-            r.nanos.to_string(),
-        ]);
-        records.push(
-            JsonRecord::new()
-                .str("figure", "queries")
-                .str("workload", "route-coverage")
-                .str("route", route.name())
-                .int("queries", r.queries as i64)
-                .int("nanos", r.nanos as i64),
-        );
-    }
-    let non_heap_routes_fired = MergeRoute::ALL
-        .iter()
-        .filter(|r| **r != MergeRoute::Heap && istats.routes[r.index()].queries > 0)
-        .count();
-    println!();
+        .expect("indexed source reports index stats");
     println!(
-        "non-heap routes fired: {non_heap_routes_fired}; memo exact={} ancestor={} miss={}",
+        "memo exact={} ancestor={} miss={}",
         istats.memo_exact, istats.memo_ancestor, istats.memo_miss
     );
     println!();
 
-    // (d) Per-route forced ablation: the same sweep pushed through each
-    // general merge route (memo bypassed), answers asserted against the
-    // scan baseline. Quantifies what the adaptive router buys over any
-    // single fixed route.
-    println!("### (d) forced merge-route ablation — {rounds} rounds each");
-    table_header(&["route", "seconds", "queries/s"]);
-    let expected: Vec<Vec<ObjId>> = scan_out.answers[..sweep.len()]
-        .iter()
-        .map(|a| match a {
-            Ok(Answer::Skyline(sky)) => sky.clone(),
-            other => unreachable!("sweep answers are skylines, got {other:?}"),
-        })
-        .collect();
-    let mut scratch = IndexScratch::default();
-    let mut routed = Vec::new();
-    for route in [
-        MergeRoute::Heap,
-        MergeRoute::Gallop,
-        MergeRoute::Flat,
-        MergeRoute::Winner,
-    ] {
-        let t = std::time::Instant::now();
-        for _ in 0..rounds {
-            for (qi, q) in sweep.iter().enumerate() {
-                let Query::Skyline(space) = *q else {
-                    unreachable!("sweep is skyline-only")
-                };
-                index
-                    .try_subspace_skyline_routed(space, route, &mut scratch, &mut routed)
-                    .expect("sweep subspaces are valid");
-                assert_eq!(
-                    routed,
-                    expected[qi],
-                    "forced route {} diverged from the scan baseline on {space}",
-                    route.name()
-                );
-            }
-        }
-        let seconds = t.elapsed().as_secs_f64();
-        let queries = rounds * sweep.len();
-        row(&[
-            route.name().to_string(),
-            secs(seconds),
-            format!("{:.0}", queries as f64 / seconds.max(1e-9)),
-        ]);
-        records.push(
-            JsonRecord::new()
-                .str("figure", "queries")
-                .str("workload", "route-ablation")
-                .str("route", route.name())
-                .int("n", n as i64)
-                .int("d", d as i64)
-                .int("queries", queries as i64)
-                .num("seconds", seconds),
-        );
-    }
-    println!();
-
-    // (e) Engineered route shapes: the random sweep's covering-run
-    // profiles never skew hard enough for `Gallop` (one giant run) nor
-    // fragment wide enough for `Winner` (many mid-sized runs), so those
-    // two routes report 0 queries above — a coverage blind spot. Two
-    // datasets built for exactly those shapes close it; each runs cold
-    // through a fresh `IndexedCubeSource` (memo miss → a real routing
-    // decision) and is answer-checked against the scan path.
-    println!("### (e) engineered route shapes — gallop and winner");
-    table_header(&["shape", "route", "queries", "runs profile"]);
-    let mut routes_fired: Vec<bool> = MergeRoute::ALL
-        .iter()
-        .map(|r| istats.routes[r.index()].queries > 0)
-        .collect();
-    for (shape, want, ds, profile) in [
-        (
-            "one-giant-run",
-            MergeRoute::Gallop,
-            gallop_shape(),
-            "[64, 1, 1]",
-        ),
-        (
-            "many-mid-runs",
-            MergeRoute::Winner,
-            winner_shape(),
-            "[4; 12]",
-        ),
-    ] {
-        let cube = compute_cube(&ds);
-        let space = DimMask::parse("AB").expect("AB is a valid mask");
-        let indexed = IndexedCubeSource::new(&cube);
-        let scan = ScanCubeSource::new(&cube);
-        let got = indexed
-            .subspace_skyline(space)
-            .expect("shape query is valid");
-        assert_eq!(
-            got,
-            scan.subspace_skyline(space).expect("shape query is valid"),
-            "{shape}: indexed diverged from scan"
-        );
-        let stats = indexed.index_stats().expect("indexed source reports stats");
-        let fired = stats.routes[want.index()].queries;
-        row(&[
-            shape.to_string(),
-            want.name().to_string(),
-            fired.to_string(),
-            profile.to_string(),
-        ]);
-        assert!(
-            fired > 0,
-            "{shape}: the {} route must fire on its engineered run profile \
-             (routes: {:?})",
-            want.name(),
-            MergeRoute::ALL.map(|r| (r.name(), stats.routes[r.index()].queries)),
-        );
-        routes_fired[want.index()] = true;
-        records.push(
-            JsonRecord::new()
-                .str("figure", "queries")
-                .str("workload", "route-shapes")
-                .str("shape", shape)
-                .str("route", want.name())
-                .int("queries", fired as i64)
-                .int("skyline_size", got.len() as i64),
-        );
-    }
-    let routes_fired = routes_fired.iter().filter(|f| **f).count();
-    println!();
-    println!(
-        "routes fired across sweep + shapes: {routes_fired}/{}",
-        MergeRoute::ALL.len()
-    );
-    println!();
-
     if args.verify {
-        assert_eq!(
-            routes_fired,
-            MergeRoute::ALL.len(),
-            "every merge route must fire across the sweep and the \
-             engineered shapes (got {routes_fired})"
-        );
         assert!(
             sweep_speedup > 1.0,
             "indexed path must beat the scan baseline (got {sweep_speedup:.2}×)"
@@ -797,11 +636,6 @@ pub fn queries_ablation(args: &HarnessArgs) -> Vec<JsonRecord> {
         assert!(
             cache_speedup > 1.0,
             "cache must beat the cold index on repeats (got {cache_speedup:.2}×)"
-        );
-        assert!(
-            non_heap_routes_fired >= 2,
-            "the adaptive router must exercise at least two non-heap routes \
-             on the sweep (got {non_heap_routes_fired})"
         );
         assert!(
             istats.memo_exact > 0,
@@ -821,8 +655,6 @@ pub fn queries_ablation(args: &HarnessArgs) -> Vec<JsonRecord> {
             .num("index_build_seconds", build_seconds)
             .num("scan_over_indexed", sweep_speedup)
             .num("cold_over_cached", cache_speedup)
-            .int("non_heap_routes_fired", non_heap_routes_fired as i64)
-            .int("routes_fired", routes_fired as i64)
             .int("demotions", ladder.demotions() as i64)
             .int("memo_exact", istats.memo_exact as i64)
             .int("memo_ancestor", istats.memo_ancestor as i64)
@@ -832,37 +664,6 @@ pub fn queries_ablation(args: &HarnessArgs) -> Vec<JsonRecord> {
             .int("memo_evictions", memo.evictions as i64),
     );
     records
-}
-
-/// A 6-d dataset whose `AB` covering runs are `[64, 1, 1]`: 64 copies of
-/// one point plus two singletons, all pairwise incomparable on every
-/// subspace. One giant run beside tiny ones is the gallop shape
-/// (`max ≥ GALLOP_MIN_GIANT` and `max ≥ GALLOP_SKEW × rest`).
-fn gallop_shape() -> Dataset {
-    let mut rows: Vec<Vec<skycube_types::Value>> = Vec::new();
-    for _ in 0..64 {
-        rows.push(vec![0, 10, 77, 77, 77, 77]);
-    }
-    rows.push(vec![10, 0, 66, 66, 66, 66]);
-    rows.push(vec![5, 5, 88, 88, 88, 88]);
-    Dataset::from_rows(6, rows).expect("gallop shape rows are well formed")
-}
-
-/// A 6-d dataset whose `AB` covering runs are twelve runs of four: twelve
-/// pairwise-incomparable corner points, each duplicated ×4. The trailing
-/// dimensions carry `50 + i` so every corner keeps its own
-/// skyline-membership profile (a constant tail would fuse the middle
-/// corners into one group and tip the profile into the gallop shape).
-/// Too many runs for `Flat`, too long for `Heap`'s short-run budget, no
-/// giant run for `Gallop` — the winner-tree shape.
-fn winner_shape() -> Dataset {
-    let mut rows: Vec<Vec<skycube_types::Value>> = Vec::new();
-    for i in 0..12i64 {
-        for _ in 0..4 {
-            rows.push(vec![i, 11 - i, 50 + i, 50 + i, 50 + i, 50 + i]);
-        }
-    }
-    Dataset::from_rows(6, rows).expect("winner shape rows are well formed")
 }
 
 /// Sharded-cube ablation — per-shard build cost vs shard count on a

@@ -4,12 +4,11 @@
 //! build, and cache warm-up on every invocation, then throws the warm state
 //! away. A [`Daemon`] keeps all of it resident across requests: one
 //! [`StellarEngine`] (dataset + cube + serving index + lattice memo), one
-//! shared [`SubspaceCache`] synced through a [`GenerationGate`], one
-//! [`RouteTuner`] feeding the online route autotuner, and a pool of warm
-//! [`IndexScratch`] buffers. Clients speak a line protocol over stdin or a
-//! Unix socket; concurrent connections multiplex over the same warm state
-//! behind an `RwLock` (many readers serve queries; mutations take the write
-//! lock).
+//! shared [`SubspaceCache`] synced through a [`GenerationGate`], and a pool
+//! of warm [`IndexScratch`] buffers. Clients speak a line protocol over
+//! stdin or a Unix socket; concurrent connections multiplex over the same
+//! warm state behind an `RwLock` (many readers serve queries; mutations
+//! take the write lock).
 //!
 //! # Protocol
 //!
@@ -73,12 +72,11 @@ use crate::cache::{GenerationGate, SubspaceCache};
 use crate::error::ServeError;
 use crate::pool::{PoolConfig, PoolStream, WorkerPool};
 use crate::source::{lock_recover, IndexStats, IndexedCubeSource};
-use crate::tuner::RouteTuner;
 use crate::wal::Wal;
 use crate::workload::{parse_query_line, Query};
 use crate::CachedSource;
 use skycube_parallel::Parallelism;
-use skycube_stellar::{CubeIndex, IndexScratch, MergeRoute, RouteTable, StellarEngine};
+use skycube_stellar::{CubeIndex, IndexScratch, MergeRoute, StellarEngine};
 use skycube_types::{ObjId, Value};
 use std::fmt::Write as _;
 use std::io::{Read, Write};
@@ -120,12 +118,6 @@ pub struct DaemonConfig {
     pub threads: Parallelism,
     /// Per-query deadline; also arms the shed-don't-queue admission check.
     pub deadline: Option<Duration>,
-    /// Run the online route autotuner (`--no-autotune` clears it).
-    pub autotune: bool,
-    /// A previously learned route table (the tuner sidecar restore path):
-    /// installed on the serving index and, when autotuning, seeded as the
-    /// tuner's incumbent. Counted as `tuner_restored` in the metrics.
-    pub route_table: Option<RouteTable>,
     /// Fault plan injected into every wave's source stack (tests/CI only).
     #[cfg(feature = "faults")]
     pub plan: crate::faults::FaultPlan,
@@ -138,8 +130,6 @@ impl Default for DaemonConfig {
             cache_bytes: None,
             threads: Parallelism::available(),
             deadline: None,
-            autotune: true,
-            route_table: None,
             #[cfg(feature = "faults")]
             plan: crate::faults::FaultPlan::default(),
         }
@@ -272,8 +262,8 @@ impl Admission {
     }
 }
 
-/// One scrape of the daemon-level counters (the cache, index, and tuner
-/// keep their own; [`Daemon::metrics_text`] renders all of them together).
+/// One scrape of the daemon-level counters (the cache and index keep their
+/// own; [`Daemon::metrics_text`] renders all of them together).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DaemonMetrics {
     /// Engine generation currently served.
@@ -312,8 +302,6 @@ pub struct DaemonMetrics {
     pub pool_shed: u64,
     /// Connections reaped for idling or stalling past their deadlines.
     pub connections_reaped: u64,
-    /// 1 when a persisted route table was restored at startup.
-    pub tuner_restored: u64,
 }
 
 /// The durability state guarded by one mutex: the log itself plus the
@@ -329,7 +317,6 @@ pub struct Daemon {
     engine: RwLock<StellarEngine>,
     cache: Arc<SubspaceCache>,
     gate: GenerationGate,
-    tuner: Option<Arc<RouteTuner>>,
     scratches: Mutex<Vec<IndexScratch>>,
     index_totals: Mutex<IndexStats>,
     admission: Admission,
@@ -349,37 +336,24 @@ pub struct Daemon {
     checkpoints: AtomicU64,
     pool_shed: AtomicU64,
     reaped: AtomicU64,
-    tuner_restored: AtomicU64,
     #[cfg(feature = "faults")]
     plan: crate::faults::FaultPlan,
 }
 
 impl Daemon {
     /// Wrap an engine in a daemon, forcing the serving index so the first
-    /// request finds everything warm. A restored route table
-    /// ([`DaemonConfig::route_table`]) is installed on the index before the
-    /// first query and seeds the tuner's incumbent.
+    /// request finds everything warm.
     pub fn new(engine: StellarEngine, config: DaemonConfig) -> Self {
         engine.cube().index();
-        if let Some(table) = config.route_table {
-            engine.cube().index().set_route_table(table);
-        }
         let cache = match config.cache_bytes {
             Some(bytes) => SubspaceCache::with_byte_budget(config.cache_capacity, bytes),
             None => SubspaceCache::new(config.cache_capacity),
         };
         let gate = GenerationGate::new(engine.generation());
-        let tuner = config.autotune.then(|| {
-            Arc::new(match config.route_table {
-                Some(table) => RouteTuner::with_table(table),
-                None => RouteTuner::new(),
-            })
-        });
         Daemon {
             engine: RwLock::new(engine),
             cache: Arc::new(cache),
             gate,
-            tuner,
             scratches: Mutex::new(Vec::new()),
             index_totals: Mutex::new(IndexStats::default()),
             admission: Admission::default(),
@@ -399,7 +373,6 @@ impl Daemon {
             checkpoints: AtomicU64::new(0),
             pool_shed: AtomicU64::new(0),
             reaped: AtomicU64::new(0),
-            tuner_restored: AtomicU64::new(u64::from(config.route_table.is_some())),
             #[cfg(feature = "faults")]
             plan: config.plan,
         }
@@ -418,11 +391,6 @@ impl Daemon {
             since_checkpoint: 0,
         }));
         self
-    }
-
-    /// The route tuner, when autotuning is on.
-    pub fn tuner(&self) -> Option<&Arc<RouteTuner>> {
-        self.tuner.as_ref()
     }
 
     /// Ask every connection loop and listener to wind down.
@@ -446,8 +414,8 @@ impl Daemon {
     }
 
     /// Answer one wave of queries against the warm state. Concurrent
-    /// callers share the engine read lock, the cache, the tuner, and the
-    /// scratch pool; answers come back in input order.
+    /// callers share the engine read lock, the cache, and the scratch
+    /// pool; answers come back in input order.
     pub fn serve_wave(&self, queries: &[Query]) -> BatchOutcome {
         self.waves.fetch_add(1, Ordering::Relaxed);
         self.queries
@@ -482,10 +450,7 @@ impl Daemon {
         let engine = self.engine_read();
         let generation = engine.generation();
         self.gate.sync(generation, engine.last_delta(), &self.cache);
-        let source = match &self.tuner {
-            Some(t) => IndexedCubeSource::with_tuner(engine.cube(), Arc::clone(t)),
-            None => IndexedCubeSource::new(engine.cube()),
-        };
+        let source = IndexedCubeSource::new(engine.cube());
         source.adopt_scratches(std::mem::take(&mut *lock_recover(&self.scratches)));
         let cached = CachedSource::with_shared(source, Arc::clone(&self.cache));
         let options = BatchOptions {
@@ -693,7 +658,6 @@ impl Daemon {
             pool_depth: self.pool.get().map_or(0, |p| p.depth()),
             pool_shed: self.pool_shed.load(Ordering::Relaxed),
             connections_reaped: self.reaped.load(Ordering::Relaxed),
-            tuner_restored: self.tuner_restored.load(Ordering::Relaxed),
         }
     }
 
@@ -709,15 +673,13 @@ impl Daemon {
     }
 
     /// The scrapeable plain-text metrics block (`name value` per line):
-    /// daemon counters, cache counters, cumulative per-route index
-    /// counters, the live route table, and — when autotuning — the tuner
-    /// counters. This is the `stats` verb's reply and the `--metrics`
-    /// dump.
+    /// daemon counters, cache counters, and cumulative per-route and memo
+    /// index counters. This is the `stats` verb's reply and the
+    /// `--metrics` dump.
     pub fn metrics_text(&self) -> String {
         let m = self.metrics();
         let cache = self.cache.stats();
         let index = *lock_recover(&self.index_totals);
-        let table = self.engine_read().cube().index().route_table();
         let mut out = String::new();
         let mut put = |name: &str, value: u64| {
             let _ = writeln!(out, "{name} {value}");
@@ -742,7 +704,6 @@ impl Daemon {
         put("pool_depth", m.pool_depth);
         put("pool_shed_connections", m.pool_shed);
         put("connections_reaped", m.connections_reaped);
-        put("tuner_restored", m.tuner_restored);
         put("cache_hits", cache.hits);
         put("cache_misses", cache.misses);
         put("cache_entries", cache.entries as u64);
@@ -757,26 +718,6 @@ impl Daemon {
         put("memo_exact", index.memo_exact);
         put("memo_ancestor", index.memo_ancestor);
         put("memo_miss", index.memo_miss);
-        put(
-            "route_table_gallop_min_giant",
-            u64::from(table.gallop_min_giant),
-        );
-        put("route_table_gallop_skew", u64::from(table.gallop_skew));
-        put("route_table_flat_max_runs", u64::from(table.flat_max_runs));
-        put(
-            "route_table_heap_short_avg",
-            u64::from(table.heap_short_avg),
-        );
-        if let Some(tuner) = &self.tuner {
-            let t = tuner.snapshot();
-            put("tuner_observations", t.observations);
-            put("tuner_explorations", t.explorations);
-            put("tuner_ablation_checks", t.ablation_checks);
-            put("tuner_ablation_mismatches", t.ablation_mismatches);
-            put("tuner_recalibrations", t.recalibrations);
-            put("tuner_promotions", t.promotions);
-            put("tuner_shapes", t.shapes as u64);
-        }
         out
     }
 
@@ -1147,10 +1088,10 @@ impl Daemon {
         }
     }
 
-    /// The index the daemon currently serves from (test hook: lets
-    /// assertions inspect the installed route table without a protocol
-    /// round trip). The reference is only valid while no mutation swaps
-    /// the cube, so callers copy what they need immediately.
+    /// The index the daemon currently serves from (lets callers read its
+    /// memo counters without a protocol round trip). The reference is only
+    /// valid while no mutation swaps the cube, so callers copy what they
+    /// need immediately.
     pub fn with_index<T>(&self, f: impl FnOnce(&CubeIndex) -> T) -> T {
         f(self.engine_read().cube().index())
     }
@@ -1291,9 +1232,9 @@ mod tests {
             "pool_depth 0",
             "pool_shed_connections 0",
             "connections_reaped 0",
-            "tuner_restored 0",
-            "route_table_flat_max_runs",
-            "tuner_observations",
+            "route_short_queries",
+            "route_flat_queries",
+            "memo_exact",
         ] {
             assert!(
                 scrape.lines().any(|l| l.starts_with(needle)),
@@ -1364,23 +1305,6 @@ mod tests {
         let outcome = d.serve_wave(&queries);
         assert_eq!(outcome.answers[0], Ok(Answer::Skyline(vec![2, 4])));
         assert_eq!(d.metrics().shed, 2);
-    }
-
-    #[test]
-    fn autotuner_is_attached_unless_disabled() {
-        assert!(daemon().tuner().is_some());
-        let config = DaemonConfig {
-            autotune: false,
-            threads: Parallelism::sequential(),
-            ..DaemonConfig::default()
-        };
-        let d = Daemon::new(StellarEngine::new(&running_example()), config);
-        assert!(d.tuner().is_none());
-        let queries = parse_workload("skyline BD\n").unwrap();
-        assert_eq!(
-            d.serve_wave(&queries).answers[0],
-            Ok(Answer::Skyline(vec![2, 4]))
-        );
     }
 
     #[test]
@@ -1512,25 +1436,5 @@ mod tests {
         assert_eq!((m.checkpoints, m.wal_records), (1, 0));
         exchange(&d, "delete 6\n");
         assert_eq!(d.metrics().wal_records, 1, "policy resets after firing");
-    }
-
-    #[test]
-    fn restored_route_table_is_installed_and_counted() {
-        let table = RouteTable {
-            gallop_min_giant: 123,
-            gallop_skew: 9,
-            flat_max_runs: 7,
-            heap_short_avg: 5,
-        };
-        let config = DaemonConfig {
-            threads: Parallelism::sequential(),
-            route_table: Some(table),
-            ..DaemonConfig::default()
-        };
-        let d = Daemon::new(StellarEngine::new(&running_example()), config);
-        assert_eq!(d.metrics().tuner_restored, 1);
-        d.with_index(|index| assert_eq!(index.route_table(), table));
-        let snapshot = d.tuner().expect("autotune on").snapshot();
-        assert_eq!(snapshot.table, table);
     }
 }

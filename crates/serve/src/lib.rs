@@ -47,7 +47,6 @@ pub mod faults;
 mod pool;
 mod shard;
 mod source;
-pub mod tuner;
 pub mod wal;
 mod workload;
 
@@ -64,6 +63,5 @@ pub use source::{
     AnchoredSubskySource, DirectSource, IndexStats, IndexedCubeSource, RouteStats, ScanCubeSource,
     SkyCubeSource, SkylineSource, SubskySource,
 };
-pub use tuner::{load_route_table, save_route_table, RouteTuner, TunerSnapshot};
 pub use wal::{recover, CheckpointData, Recovery, TornTail, Wal, WalOpen, WalRecord};
 pub use workload::{parse_query_line, parse_workload, Query};

@@ -125,27 +125,6 @@ impl ShardPlan {
     fn note_append(&mut self) {
         *self.offsets.last_mut().expect("offsets never empty") += 1;
     }
-
-    /// Hash partitioning — **not implemented yet**; always returns
-    /// [`ServeError::Unsupported`] explaining why.
-    ///
-    /// Every sharded component maps global↔local ids *arithmetically*
-    /// (`global = shard offset + local`), which requires each shard to own
-    /// one contiguous id range; that same constraint is why inserts route
-    /// to the **last** shard today (only an append at the tail keeps every
-    /// other shard's range untouched). A hash plan needs a per-object
-    /// id-translation table (and per-shard append cursors) before it can
-    /// exist; until then this constructor is the diagnostic users of
-    /// `--shards K` hit instead of silently skewed inserts.
-    pub fn hash(num_objects: usize, shards: usize) -> Result<Self, ServeError> {
-        Err(ServeError::Unsupported(format!(
-            "hash partitioning of {num_objects} objects into {shards} shards is not \
-             implemented: shards must own contiguous global-id ranges (ids map as \
-             `global = shard offset + local`), so inserts currently route to the last \
-             shard to keep every other range stable; use ShardPlan::contiguous, and \
-             expect insert-heavy streams to grow the last shard"
-        )))
-    }
 }
 
 /// One shard's engine plus its serving-side cache state.
@@ -649,16 +628,6 @@ mod tests {
             assert_eq!(plan.to_global(k, l), g);
             assert_eq!(plan.shard_of(g), k);
         }
-    }
-
-    #[test]
-    fn hash_partitioning_is_a_structured_diagnostic() {
-        let err = ShardPlan::hash(100, 4).unwrap_err();
-        assert_eq!(err.kind(), "unsupported");
-        let msg = err.to_string();
-        assert!(msg.contains("contiguous"), "{msg}");
-        assert!(msg.contains("last shard"), "{msg}");
-        assert!(msg.contains("ShardPlan::contiguous"), "{msg}");
     }
 
     #[test]

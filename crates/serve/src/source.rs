@@ -2,14 +2,15 @@
 
 use crate::cache::CacheStats;
 use crate::error::ServeError;
-use crate::tuner::RouteTuner;
 use skycube_skyey::SkyCube;
 use skycube_skyline::{k_skyband, Algorithm};
-use skycube_stellar::{CompressedSkylineCube, CubeIndex, IndexScratch, MemoOutcome, QueryBudget};
+use skycube_stellar::{
+    CompressedSkylineCube, CubeIndex, IndexScratch, MemoOutcome, MergeRoute, QueryBudget,
+};
 use skycube_subsky::{AnchoredSubskyIndex, SubskyIndex};
 use skycube_types::{Dataset, DimMask, DominanceKernel, ObjId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Lock `m`, recovering from mutex poisoning instead of panicking. Used
@@ -38,7 +39,7 @@ pub struct RouteStats {
 pub struct IndexStats {
     /// One cell per [`skycube_stellar::MergeRoute`], indexed by
     /// [`skycube_stellar::MergeRoute::index`].
-    pub routes: [RouteStats; 5],
+    pub routes: [RouteStats; MergeRoute::ALL.len()],
     /// `runs_hist[b]` = skyline queries whose merged run count fell in
     /// log₂ bucket `b` (`0` for zero runs, else `⌊log₂ n⌋ + 1`, capped).
     pub runs_hist: [u64; 16],
@@ -93,7 +94,7 @@ impl IndexStats {
 }
 
 /// Log₂ histogram bucket: 0 for 0, else `⌊log₂ n⌋ + 1`, capped at 15.
-pub(crate) fn hist_bucket(n: usize) -> usize {
+fn hist_bucket(n: usize) -> usize {
     if n == 0 {
         0
     } else {
@@ -243,7 +244,6 @@ pub struct IndexedCubeSource<'a> {
     touched: AtomicU64,
     scratch_pool: Mutex<Vec<IndexScratch>>,
     stats: Mutex<IndexStats>,
-    tuner: Option<Arc<RouteTuner>>,
 }
 
 impl<'a> IndexedCubeSource<'a> {
@@ -254,31 +254,12 @@ impl<'a> IndexedCubeSource<'a> {
             touched: AtomicU64::new(0),
             scratch_pool: Mutex::new(Vec::new()),
             stats: Mutex::new(IndexStats::default()),
-            tuner: None,
         }
-    }
-
-    /// Build the source with a [`RouteTuner`] observing every skyline
-    /// query. The tuner runs the whole autotuning loop described in
-    /// [`crate::tuner`]: production timings feed it, it occasionally asks
-    /// for a forced-route exploration probe (whose answer is checked
-    /// against the served one), and tables it promotes are installed on
-    /// the index via [`CubeIndex::set_route_table`]. Shared (`Arc`) so a
-    /// resident daemon can keep one tuner across per-request sources.
-    pub fn with_tuner(cube: &'a CompressedSkylineCube, tuner: Arc<RouteTuner>) -> Self {
-        let mut source = Self::new(cube);
-        source.tuner = Some(tuner);
-        source
     }
 
     /// The underlying index.
     pub fn index(&self) -> &CubeIndex {
         self.index
-    }
-
-    /// The attached tuner, if any.
-    pub fn tuner(&self) -> Option<&Arc<RouteTuner>> {
-        self.tuner.as_ref()
     }
 
     /// Seed the scratch pool with warm buffers (e.g. ones carried across
@@ -303,7 +284,6 @@ impl<'a> IndexedCubeSource<'a> {
             MemoOutcome::Exact => stats.memo_exact += 1,
             MemoOutcome::Ancestor => stats.memo_ancestor += 1,
             MemoOutcome::Miss => stats.memo_miss += 1,
-            MemoOutcome::Bypass => {}
         }
     }
 
@@ -323,47 +303,12 @@ impl<'a> IndexedCubeSource<'a> {
             .try_subspace_skyline_into(space, &mut scratch, &mut out);
         let nanos = start.elapsed().as_nanos() as u64;
         scratch.set_budget(QueryBudget::unlimited());
-        if let (Some(tuner), Ok(probe)) = (&self.tuner, &result) {
-            self.tune(tuner, probe, nanos, space, &out, &mut scratch);
-        }
         lock_recover(&self.scratch_pool).push(scratch);
         let probe = result?;
         self.touched
             .fetch_add(probe.candidates as u64, Ordering::Relaxed);
         self.record(&probe, nanos);
         Ok(out)
-    }
-
-    /// The autotuning loop, run off the critical answer path: feed the
-    /// served query to the tuner; when it draws an exploration probe,
-    /// re-answer through the forced alternative route (unbudgeted — the
-    /// served answer already met its deadline) and check the answers agree
-    /// byte for byte; install any table the tuner promotes.
-    fn tune(
-        &self,
-        tuner: &RouteTuner,
-        probe: &skycube_stellar::IndexProbe,
-        nanos: u64,
-        space: DimMask,
-        served: &[ObjId],
-        scratch: &mut IndexScratch,
-    ) {
-        if let Some(alt_route) = tuner.observe(probe, nanos) {
-            let mut alt_out = Vec::new();
-            let start = Instant::now();
-            let forced =
-                self.index
-                    .try_subspace_skyline_routed(space, alt_route, scratch, &mut alt_out);
-            let alt_nanos = start.elapsed().as_nanos() as u64;
-            if let Ok(alt_probe) = forced {
-                let matched = alt_out == served;
-                debug_assert!(matched, "route {} diverged on {space}", alt_route.name());
-                tuner.observe_forced(&alt_probe, alt_nanos, matched);
-            }
-        }
-        if let Some(table) = tuner.maybe_recalibrate() {
-            self.index.set_route_table(table);
-        }
     }
 }
 

@@ -29,18 +29,15 @@
 //!
 //! # Merge routes
 //!
-//! The merge stage is adaptive: once the covering runs are known, the query
-//! is routed by run shape (`k` runs, `total` elements, `max_len` longest run):
+//! Once the covering runs are known, the merge stage takes one of two
+//! routes by run count `k`:
 //!
-//! | route    | condition (checked in order)                          |
-//! |----------|-------------------------------------------------------|
-//! | `Short`  | `k ≤ 2` — empty / copy / two-way linear merge         |
-//! | `Gallop` | `max_len ≥ 16` and `max_len ≥ 4 × (total − max_len)`  |
-//! | `Flat`   | `k ≤ 8` — concat, `sort_unstable`, `dedup`            |
-//! | `Heap`   | `total ≤ 2 × k` — many short runs, binary heap        |
-//! | `Winner` | otherwise — tournament tree, one replay path per pop  |
+//! | route   | condition | merge                                       |
+//! |---------|-----------|---------------------------------------------|
+//! | `Short` | `k ≤ 2`   | empty answer, run copy, or two-way merge    |
+//! | `Flat`  | `k ≥ 3`   | concat, `sort_unstable`, `dedup`            |
 //!
-//! The chosen route and the merge workload are reported in [`IndexProbe`].
+//! The route taken and the merge workload are reported in [`IndexProbe`].
 //!
 //! # Lattice memo
 //!
@@ -57,10 +54,9 @@
 use crate::cube::{covered_subspace_count, CompressedSkylineCube};
 use skycube_types::{DimMask, Error, ObjId, Section, SectionStore, SectionWriter, Span, MAX_DIMS};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -162,162 +158,26 @@ const MEMO_MAX_ENTRIES: usize = 512;
 const MEMO_MAX_IDS: usize = 1 << 20;
 /// Largest single list worth memoizing.
 const MEMO_ENTRY_MAX_IDS: usize = 1 << 16;
-/// A galloping merge needs a giant run at least this long ...
-const GALLOP_MIN_GIANT: usize = 16;
-/// ... and at least this many times longer than all other runs combined.
-const GALLOP_SKEW: usize = 4;
-/// Up to this many runs, concat + sort + dedup beats heap bookkeeping.
-const FLAT_MAX_RUNS: usize = 8;
-/// With more runs, the heap wins only when runs are short on average
-/// (`total ≤ HEAP_SHORT_AVG × runs`); otherwise the winner tree's single
-/// replay path per pop is cheaper.
-const HEAP_SHORT_AVG: usize = 2;
-
-/// The merge-route decision table: the four thresholds behind
-/// [`RouteTable::choose`], previously hard-wired constants. An index starts
-/// at [`RouteTable::DEFAULT`] (the hand-tuned values from the route-coverage
-/// benches) and a serving tier may install a recalibrated table via
-/// [`CubeIndex::set_route_table`] — the table only ever changes *which*
-/// correct merge runs, never the answer, which is what the forced-route
-/// ablation tests pin.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RouteTable {
-    /// A galloping merge needs a giant run at least this long ...
-    pub gallop_min_giant: u32,
-    /// ... and at least this many times longer than the rest combined.
-    pub gallop_skew: u32,
-    /// Up to this many runs, concat + sort + dedup beats heap bookkeeping.
-    pub flat_max_runs: u32,
-    /// With more runs the heap wins only while `total ≤ heap_short_avg ×
-    /// runs`; longer average runs go to the winner tree.
-    pub heap_short_avg: u32,
-}
-
-impl RouteTable {
-    /// The hand-tuned shipping thresholds.
-    pub const DEFAULT: RouteTable = RouteTable {
-        gallop_min_giant: GALLOP_MIN_GIANT as u32,
-        gallop_skew: GALLOP_SKEW as u32,
-        flat_max_runs: FLAT_MAX_RUNS as u32,
-        heap_short_avg: HEAP_SHORT_AVG as u32,
-    };
-
-    /// Pick the merge route for a query shape: `runs` member runs totalling
-    /// `total` elements, the longest being `max_len`. Callers handle the
-    /// `runs ≤ 2` short path before consulting the table.
-    pub fn choose(&self, runs: usize, total: usize, max_len: usize) -> MergeRoute {
-        debug_assert!(runs >= 3);
-        let rest = total - max_len;
-        if max_len >= self.gallop_min_giant as usize
-            && max_len >= self.gallop_skew as usize * rest.max(1)
-        {
-            MergeRoute::Gallop
-        } else if runs <= self.flat_max_runs as usize {
-            MergeRoute::Flat
-        } else if total <= self.heap_short_avg as usize * runs {
-            MergeRoute::Heap
-        } else {
-            MergeRoute::Winner
-        }
-    }
-}
-
-impl Default for RouteTable {
-    fn default() -> RouteTable {
-        RouteTable::DEFAULT
-    }
-}
-
-/// Lock-free cell holding the index's live [`RouteTable`]. Routing reads it
-/// with relaxed loads on every query; a tuner swaps thresholds in from
-/// another thread without pausing readers. A torn read across fields is
-/// harmless — any combination of old/new thresholds still names a correct
-/// merge. Cloning copies the current values (the clone tunes independently).
-#[derive(Debug)]
-struct RouteTableCell {
-    gallop_min_giant: AtomicU32,
-    gallop_skew: AtomicU32,
-    flat_max_runs: AtomicU32,
-    heap_short_avg: AtomicU32,
-}
-
-impl RouteTableCell {
-    fn new(t: RouteTable) -> RouteTableCell {
-        RouteTableCell {
-            gallop_min_giant: AtomicU32::new(t.gallop_min_giant),
-            gallop_skew: AtomicU32::new(t.gallop_skew),
-            flat_max_runs: AtomicU32::new(t.flat_max_runs),
-            heap_short_avg: AtomicU32::new(t.heap_short_avg),
-        }
-    }
-
-    fn get(&self) -> RouteTable {
-        RouteTable {
-            gallop_min_giant: self.gallop_min_giant.load(Ordering::Relaxed),
-            gallop_skew: self.gallop_skew.load(Ordering::Relaxed),
-            flat_max_runs: self.flat_max_runs.load(Ordering::Relaxed),
-            heap_short_avg: self.heap_short_avg.load(Ordering::Relaxed),
-        }
-    }
-
-    fn set(&self, t: RouteTable) {
-        self.gallop_min_giant
-            .store(t.gallop_min_giant, Ordering::Relaxed);
-        self.gallop_skew.store(t.gallop_skew, Ordering::Relaxed);
-        self.flat_max_runs.store(t.flat_max_runs, Ordering::Relaxed);
-        self.heap_short_avg
-            .store(t.heap_short_avg, Ordering::Relaxed);
-    }
-}
-
-impl Default for RouteTableCell {
-    fn default() -> RouteTableCell {
-        RouteTableCell::new(RouteTable::DEFAULT)
-    }
-}
-
-impl Clone for RouteTableCell {
-    fn clone(&self) -> RouteTableCell {
-        RouteTableCell::new(self.get())
-    }
-}
-
 /// Which merge implementation answered a query; see the module docs for the
-/// routing conditions.
+/// routing condition.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum MergeRoute {
     /// 0–2 runs: empty answer, run copy, or two-way linear merge.
     #[default]
     Short,
-    /// Binary heap k-way merge (many short runs).
-    Heap,
-    /// Exponential-search merge of the concatenated small runs into one
-    /// giant run (skewed run lengths).
-    Gallop,
-    /// Concat, `sort_unstable`, `dedup` (few runs).
+    /// 3 or more runs: concat, `sort_unstable`, `dedup`.
     Flat,
-    /// Tournament (winner) tree k-way merge (many long runs).
-    Winner,
 }
 
 impl MergeRoute {
     /// All routes, in `index()` order.
-    pub const ALL: [MergeRoute; 5] = [
-        MergeRoute::Short,
-        MergeRoute::Heap,
-        MergeRoute::Gallop,
-        MergeRoute::Flat,
-        MergeRoute::Winner,
-    ];
+    pub const ALL: [MergeRoute; 2] = [MergeRoute::Short, MergeRoute::Flat];
 
-    /// Stable display name (used by `--stats` and the bench reports).
+    /// Stable display name (used by `--stats` and the daemon metrics).
     pub fn name(self) -> &'static str {
         match self {
             MergeRoute::Short => "short",
-            MergeRoute::Heap => "heap",
-            MergeRoute::Gallop => "gallop",
             MergeRoute::Flat => "flat",
-            MergeRoute::Winner => "winner",
         }
     }
 
@@ -330,10 +190,8 @@ impl MergeRoute {
 /// How the lattice memo participated in a query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum MemoOutcome {
-    /// The memo was not consulted (forced-route queries bypass it).
-    #[default]
-    Bypass,
     /// No usable entry; the prefilter ran from the posting lists.
+    #[default]
     Miss,
     /// The queried subspace itself was memoized.
     Exact,
@@ -345,7 +203,6 @@ impl MemoOutcome {
     /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {
-            MemoOutcome::Bypass => "bypass",
             MemoOutcome::Miss => "miss",
             MemoOutcome::Exact => "exact",
             MemoOutcome::Ancestor => "ancestor",
@@ -369,10 +226,6 @@ pub struct IndexProbe {
     pub runs_merged: usize,
     /// Total elements across the merged runs (before dedup).
     pub elements_merged: usize,
-    /// Length of the longest merged run — with `runs_merged` and
-    /// `elements_merged` this is the full shape the route decision saw, so
-    /// a tuner can replay the decision under a candidate table.
-    pub max_run_len: usize,
 }
 
 /// Lattice-memo counters, cheap to copy into serving-layer stats.
@@ -463,11 +316,14 @@ impl LatticeMemo {
             self.exact_hits.fetch_add(1, Ordering::Relaxed);
             return MemoOutcome::Exact;
         }
+        // Ties on list length break on the mask, so the choice (and with
+        // it the LRU stamps and every counter) never depends on the map's
+        // iteration order.
         let best = inner
             .map
             .iter()
             .filter(|(&p, e)| space.is_subset_of(p) && e.ids.len() * 2 <= n_groups.max(1))
-            .min_by_key(|(_, e)| e.ids.len())
+            .min_by_key(|(&p, e)| (e.ids.len(), p))
             .map(|(&p, _)| p);
         if let Some(p) = best {
             let entry = inner.map.get_mut(&p).expect("key just found");
@@ -609,16 +465,6 @@ pub struct IndexScratch {
     qualified: Vec<u32>,
     /// Ids copied out of a memo entry.
     memo_ids: Vec<u32>,
-    /// `(start, end)` member-run bounds of the covering groups.
-    spans: Vec<(usize, usize)>,
-    /// Binary-heap route state: packed `(value << 32) | run` keys.
-    heap: BinaryHeap<Reverse<u64>>,
-    /// Per-run cursors for the heap and winner routes.
-    cursors: Vec<usize>,
-    /// Winner-tree nodes (packed keys, `u64::MAX` = exhausted).
-    tree: Vec<u64>,
-    /// Concatenated non-giant runs for the gallop route.
-    small: Vec<ObjId>,
     /// Stamp array for O(1) dedup across decisive posting lists.
     seen: Vec<u32>,
     epoch: u32,
@@ -708,9 +554,6 @@ pub struct CubeIndex {
     /// Bounded memo of decisively-qualified sets along the lattice.
     /// Transient: never persisted, cold after a load or clone.
     memo: LatticeMemo,
-    /// Live merge-route thresholds. Transient like the memo: never
-    /// persisted, defaults after a load, values copied on clone.
-    route_table: RouteTableCell,
 }
 
 impl CubeIndex {
@@ -769,11 +612,7 @@ impl CubeIndex {
             },
             &delta.old_to_new,
         );
-        // Reassembly resets transient fields; the tuned route thresholds
-        // must survive the generation like the memo does.
-        let table = self.route_table.get();
         *self = CubeIndex::assemble(dims, num_objects, groups, covered, memo);
-        self.route_table.set(table);
     }
 
     /// Grow the index by one object that belongs to no group — the tail of
@@ -926,7 +765,6 @@ impl CubeIndex {
             freq_rank_count: freq_rank_count.into(),
             covered: covered.into(),
             memo,
-            route_table: RouteTableCell::default(),
         }
     }
 
@@ -971,19 +809,6 @@ impl CubeIndex {
     /// cube must call this (or drop the index) before serving again.
     pub fn invalidate_memo(&self) {
         self.memo.invalidate();
-    }
-
-    /// The live merge-route decision table.
-    pub fn route_table(&self) -> RouteTable {
-        self.route_table.get()
-    }
-
-    /// Install a new merge-route decision table. Takes effect on the next
-    /// query, including queries already in flight on other threads (the
-    /// thresholds are relaxed atomics); answers are unaffected — every
-    /// route merges the same runs to the same sorted set.
-    pub fn set_route_table(&self, table: RouteTable) {
-        self.route_table.set(table);
     }
 
     pub(crate) fn member_run(&self, g: u32) -> &[ObjId] {
@@ -1055,8 +880,8 @@ impl CubeIndex {
     }
 
     /// Collect the ids of the groups covering `space` into `scratch.groups`,
-    /// consulting the lattice memo first (unless bypassed) and falling back
-    /// to the cheapest of three prefilters. `space` must be valid.
+    /// consulting the lattice memo first and falling back to the cheapest
+    /// of three prefilters. `space` must be valid.
     ///
     /// 1. **Decisive route** (the common case, `2^|A|` small): union the
     ///    decisive posting lists of every `C ⊆ A`; each listed group is
@@ -1069,48 +894,38 @@ impl CubeIndex {
     /// Routes 1 and both memo paths also recover `D(A)` (into
     /// `scratch.qualified`), which is stored back into the memo; the sweep
     /// routes only visit a slice of the universe, so they cannot.
-    fn collect_covering(
-        &self,
-        space: DimMask,
-        scratch: &mut IndexScratch,
-        use_memo: bool,
-        probe: &mut IndexProbe,
-    ) {
+    fn collect_covering(&self, space: DimMask, scratch: &mut IndexScratch, probe: &mut IndexProbe) {
         scratch.groups.clear();
         scratch.qualified.clear();
         let k = space.len();
         let n_groups = self.subspaces.len();
-        if use_memo {
-            match self.memo.lookup(space, n_groups, &mut scratch.memo_ids) {
-                MemoOutcome::Exact => {
-                    probe.memo = MemoOutcome::Exact;
-                    for &g in &scratch.memo_ids {
-                        probe.candidates += 1;
+        probe.memo = self.memo.lookup(space, n_groups, &mut scratch.memo_ids);
+        match probe.memo {
+            MemoOutcome::Exact => {
+                for &g in &scratch.memo_ids {
+                    probe.candidates += 1;
+                    if space.is_subset_of(self.subspaces[g as usize]) {
+                        scratch.groups.push(g);
+                    }
+                }
+                probe.matched = scratch.groups.len();
+                return;
+            }
+            MemoOutcome::Ancestor => {
+                for &g in &scratch.memo_ids {
+                    probe.candidates += 1;
+                    if self.decisively_qualified(g, space, k) {
+                        scratch.qualified.push(g);
                         if space.is_subset_of(self.subspaces[g as usize]) {
                             scratch.groups.push(g);
                         }
                     }
-                    probe.matched = scratch.groups.len();
-                    return;
                 }
-                MemoOutcome::Ancestor => {
-                    probe.memo = MemoOutcome::Ancestor;
-                    for &g in &scratch.memo_ids {
-                        probe.candidates += 1;
-                        if self.decisively_qualified(g, space, k) {
-                            scratch.qualified.push(g);
-                            if space.is_subset_of(self.subspaces[g as usize]) {
-                                scratch.groups.push(g);
-                            }
-                        }
-                    }
-                    self.memo.store(space, &scratch.qualified);
-                    probe.matched = scratch.groups.len();
-                    return;
-                }
-                MemoOutcome::Miss => probe.memo = MemoOutcome::Miss,
-                MemoOutcome::Bypass => unreachable!("lookup never bypasses"),
+                self.memo.store(space, &scratch.qualified);
+                probe.matched = scratch.groups.len();
+                return;
             }
+            MemoOutcome::Miss => {}
         }
         let subset_route_cheap = k < 63 && ((1u64 << k) - 1) <= n_groups.max(1) as u64;
         if subset_route_cheap {
@@ -1138,12 +953,10 @@ impl CubeIndex {
                     }
                 }
             }
-            if use_memo {
-                // Posting traversal interleaves the lists; the memo contract
-                // is a sorted `D(A)`.
-                scratch.qualified.sort_unstable();
-                self.memo.store(space, &scratch.qualified);
-            }
+            // Posting traversal interleaves the lists; the memo contract is a
+            // sorted `D(A)`.
+            scratch.qualified.sort_unstable();
+            self.memo.store(space, &scratch.qualified);
         } else {
             let shortest = space
                 .iter()
@@ -1192,37 +1005,12 @@ impl CubeIndex {
     }
 
     /// The allocation-free query loop: answer into `out` reusing `scratch`,
-    /// returning the prefilter and merge work counters. Routes adaptively
-    /// and uses the lattice memo.
+    /// returning the prefilter and merge work counters. Consults the
+    /// lattice memo, then merges the covering runs: up to two runs take the
+    /// `Short` route, more take the `Flat` one.
     pub fn try_subspace_skyline_into(
         &self,
         space: DimMask,
-        scratch: &mut IndexScratch,
-        out: &mut Vec<ObjId>,
-    ) -> Result<IndexProbe, QueryError> {
-        self.answer_into(space, None, true, scratch, out)
-    }
-
-    /// Like [`Self::try_subspace_skyline_into`], but forcing one merge route
-    /// and bypassing the memo — the per-route ablation and the all-routes
-    /// equality tests. Queries matching ≤ 2 runs always take the `Short`
-    /// path (the general routes would answer identically, just slower);
-    /// forcing `Short` with more runs falls back to `Heap`.
-    pub fn try_subspace_skyline_routed(
-        &self,
-        space: DimMask,
-        route: MergeRoute,
-        scratch: &mut IndexScratch,
-        out: &mut Vec<ObjId>,
-    ) -> Result<IndexProbe, QueryError> {
-        self.answer_into(space, Some(route), false, scratch, out)
-    }
-
-    fn answer_into(
-        &self,
-        space: DimMask,
-        forced: Option<MergeRoute>,
-        use_memo: bool,
         scratch: &mut IndexScratch,
         out: &mut Vec<ObjId>,
     ) -> Result<IndexProbe, QueryError> {
@@ -1240,81 +1028,30 @@ impl CubeIndex {
         // were already blown on arrival (queue time, an injected stall).
         scratch.budget.check()?;
         let mut probe = IndexProbe::default();
-        self.collect_covering(space, scratch, use_memo, &mut probe);
-        // Deadline checkpoint 2: the prefilter/merge route boundary.
+        self.collect_covering(space, scratch, &mut probe);
+        // Deadline checkpoint 2: the prefilter/merge boundary.
         scratch.budget.check()?;
 
-        scratch.spans.clear();
-        let mut total = 0usize;
-        let mut max_len = 0usize;
-        for &g in &scratch.groups {
-            let s = self.member_offsets[g as usize] as usize;
-            let e = self.member_offsets[g as usize + 1] as usize;
-            scratch.spans.push((s, e));
-            total += e - s;
-            max_len = max_len.max(e - s);
-        }
-        probe.runs_merged = scratch.spans.len();
-        probe.elements_merged = total;
-        probe.max_run_len = max_len;
-
-        let runs = scratch.spans.len();
-        let route = if runs <= 2 {
-            MergeRoute::Short
-        } else {
-            match forced {
-                Some(MergeRoute::Short) | None => {
-                    self.route_table.get().choose(runs, total, max_len)
-                }
-                Some(r) => r,
+        let runs = scratch.groups.iter().map(|&g| self.member_run(g));
+        probe.runs_merged = scratch.groups.len();
+        probe.elements_merged = runs.clone().map(<[ObjId]>::len).sum();
+        probe.route = match scratch.groups.as_slice() {
+            [] => MergeRoute::Short,
+            [g] => {
+                out.extend_from_slice(self.member_run(*g));
+                MergeRoute::Short
+            }
+            [a, b] => {
+                merge_two(self.member_run(*a), self.member_run(*b), out);
+                MergeRoute::Short
+            }
+            _ => {
+                merge_flat(runs, out);
+                MergeRoute::Flat
             }
         };
-        probe.route = route;
-
-        match route {
-            MergeRoute::Short => match scratch.groups.as_slice() {
-                [] => {}
-                [g] => out.extend_from_slice(self.member_run(*g)),
-                [a, b] => merge_two(self.member_run(*a), self.member_run(*b), out),
-                _ => unreachable!("short route is only chosen for ≤ 2 runs"),
-            },
-            MergeRoute::Heap => merge_heap(
-                &self.members,
-                &scratch.spans,
-                &mut scratch.cursors,
-                &mut scratch.heap,
-                out,
-            ),
-            MergeRoute::Flat => merge_flat(&self.members, &scratch.spans, out),
-            MergeRoute::Gallop => {
-                let giant = scratch
-                    .spans
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(_, &(s, e))| e - s)
-                    .map(|(i, _)| i)
-                    .expect("≥ 3 runs on the gallop route");
-                scratch.small.clear();
-                for (i, &(s, e)) in scratch.spans.iter().enumerate() {
-                    if i != giant {
-                        scratch.small.extend_from_slice(&self.members[s..e]);
-                    }
-                }
-                scratch.small.sort_unstable();
-                scratch.small.dedup();
-                let (s, e) = scratch.spans[giant];
-                merge_gallop(&self.members[s..e], &scratch.small, out);
-            }
-            MergeRoute::Winner => merge_winner(
-                &self.members,
-                &scratch.spans,
-                &mut scratch.cursors,
-                &mut scratch.tree,
-                out,
-            ),
-        }
-        // Deadline checkpoint 3: the merge route finished. A query that ran
-        // past its budget reports the overrun even though the answer exists;
+        // Deadline checkpoint 3: the merge finished. A query that ran past
+        // its budget reports the overrun even though the answer exists;
         // degradation layers may re-answer without a deadline.
         scratch.budget.check()?;
         Ok(probe)
@@ -1595,7 +1332,6 @@ impl CubeIndex {
             freq_rank_count: load_section(store, id::FREQ_RANK_COUNT)?,
             covered: load_section(store, id::COVERED)?,
             memo: LatticeMemo::default(),
-            route_table: RouteTableCell::default(),
         };
         ix.validate_loaded(num_groups)?;
         Ok(ix)
@@ -1940,13 +1676,6 @@ fn flatten_csr(lists: &[Vec<u32>]) -> (Vec<u64>, Vec<u32>) {
     (offsets, values)
 }
 
-/// Pack a merge key: value in the high half so ordering is by value first,
-/// run index in the low half as the deterministic tiebreak.
-#[inline]
-fn pack(v: ObjId, run: u32) -> u64 {
-    ((v as u64) << 32) | run as u64
-}
-
 /// Merge two sorted runs into `out`, deduplicating.
 fn merge_two(a: &[ObjId], b: &[ObjId], out: &mut Vec<ObjId>) {
     let (mut i, mut j) = (0, 0);
@@ -1974,142 +1703,15 @@ fn merge_two(a: &[ObjId], b: &[ObjId], out: &mut Vec<ObjId>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// Flat route: concatenate every run, sort, dedup. For a handful of runs the
-/// pattern-defeating sort on mostly-sorted input beats any cursor machinery.
-fn merge_flat(members: &[ObjId], spans: &[(usize, usize)], out: &mut Vec<ObjId>) {
-    for &(s, e) in spans {
-        out.extend_from_slice(&members[s..e]);
+/// Flat route: concatenate every run, sort, dedup. The pattern-defeating
+/// sort on concatenated sorted runs beats any cursor-based k-way merge on
+/// the run shapes the cube produces.
+fn merge_flat<'r>(runs: impl IntoIterator<Item = &'r [ObjId]>, out: &mut Vec<ObjId>) {
+    for run in runs {
+        out.extend_from_slice(run);
     }
     out.sort_unstable();
     out.dedup();
-}
-
-/// Heap route: classic k-way merge over packed keys, two sift paths per
-/// element — cheapest when runs are short so the heap stays tiny.
-fn merge_heap(
-    members: &[ObjId],
-    spans: &[(usize, usize)],
-    cursors: &mut Vec<usize>,
-    heap: &mut BinaryHeap<Reverse<u64>>,
-    out: &mut Vec<ObjId>,
-) {
-    heap.clear();
-    cursors.clear();
-    cursors.resize(spans.len(), 0);
-    for (i, &(s, e)) in spans.iter().enumerate() {
-        if s < e {
-            heap.push(Reverse(pack(members[s], i as u32)));
-            cursors[i] = s + 1;
-        }
-    }
-    while let Some(Reverse(key)) = heap.pop() {
-        let v = (key >> 32) as ObjId;
-        let r = (key & u32::MAX as u64) as usize;
-        if out.last() != Some(&v) {
-            out.push(v);
-        }
-        let cur = cursors[r];
-        if cur < spans[r].1 {
-            heap.push(Reverse(pack(members[cur], r as u32)));
-            cursors[r] = cur + 1;
-        }
-    }
-}
-
-/// Winner route: a tournament tree with the runs as leaves (padded to a
-/// power of two, exhausted = `u64::MAX`). Each pop replays one leaf-to-root
-/// path — `⌈log₂ runs⌉` comparisons instead of the heap's two sift paths.
-fn merge_winner(
-    members: &[ObjId],
-    spans: &[(usize, usize)],
-    cursors: &mut Vec<usize>,
-    tree: &mut Vec<u64>,
-    out: &mut Vec<ObjId>,
-) {
-    let m = spans.len();
-    let cap = m.next_power_of_two().max(1);
-    tree.clear();
-    tree.resize(2 * cap, u64::MAX);
-    cursors.clear();
-    cursors.resize(m, 0);
-    for (i, &(s, e)) in spans.iter().enumerate() {
-        if s < e {
-            tree[cap + i] = pack(members[s], i as u32);
-            cursors[i] = s + 1;
-        } else {
-            cursors[i] = e;
-        }
-    }
-    for i in (1..cap).rev() {
-        tree[i] = tree[2 * i].min(tree[2 * i + 1]);
-    }
-    loop {
-        let key = tree[1];
-        if key == u64::MAX {
-            break;
-        }
-        let v = (key >> 32) as ObjId;
-        let r = (key & u32::MAX as u64) as usize;
-        if out.last() != Some(&v) {
-            out.push(v);
-        }
-        let cur = cursors[r];
-        let mut node = cap + r;
-        tree[node] = if cur < spans[r].1 {
-            cursors[r] = cur + 1;
-            pack(members[cur], r as u32)
-        } else {
-            u64::MAX
-        };
-        while node > 1 {
-            node /= 2;
-            tree[node] = tree[2 * node].min(tree[2 * node + 1]);
-        }
-    }
-}
-
-/// Gallop route: `small` (sorted, deduped) is threaded through `giant` with
-/// exponential + binary search, copying the untouched giant stretches in
-/// bulk — sublinear in `giant.len()` when the skew is real.
-fn merge_gallop(giant: &[ObjId], small: &[ObjId], out: &mut Vec<ObjId>) {
-    let mut gi = 0usize;
-    for &v in small {
-        let lb = gallop_lower_bound(giant, gi, v);
-        out.extend_from_slice(&giant[gi..lb]);
-        gi = lb;
-        out.push(v);
-        if gi < giant.len() && giant[gi] == v {
-            gi += 1;
-        }
-    }
-    out.extend_from_slice(&giant[gi..]);
-}
-
-/// Smallest index `i ≥ from` with `run[i] ≥ v` (or `run.len()`), found by
-/// doubling steps then binary search inside the bracketed window.
-fn gallop_lower_bound(run: &[ObjId], from: usize, v: ObjId) -> usize {
-    if from >= run.len() || run[from] >= v {
-        return from;
-    }
-    let mut step = 1usize;
-    let mut prev = from;
-    let mut cur = from + step;
-    while cur < run.len() && run[cur] < v {
-        prev = cur;
-        step <<= 1;
-        cur = from + step;
-    }
-    let mut lo = prev + 1;
-    let mut hi = cur.min(run.len());
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if run[mid] < v {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 #[cfg(test)]
@@ -2305,66 +1907,27 @@ mod tests {
         assert_eq!(out, vec![4, 7]);
     }
 
-    /// Flatten crafted runs into the `(members, spans)` layout the merge
-    /// routines consume.
-    fn layout(runs: &[Vec<ObjId>]) -> (Vec<ObjId>, Vec<(usize, usize)>) {
-        let mut members = Vec::new();
-        let mut spans = Vec::new();
-        for run in runs {
-            let s = members.len();
-            members.extend_from_slice(run);
-            spans.push((s, members.len()));
-        }
-        (members, spans)
-    }
-
-    /// Reference merge: concat, sort, dedup.
+    /// Reference merge: the ordered set union of the runs.
     fn reference(runs: &[Vec<ObjId>]) -> Vec<ObjId> {
-        let mut all: Vec<ObjId> = runs.iter().flatten().copied().collect();
-        all.sort_unstable();
-        all.dedup();
-        all
+        let all: std::collections::BTreeSet<ObjId> = runs.iter().flatten().copied().collect();
+        all.into_iter().collect()
     }
 
+    /// Both merges against the reference: `merge_flat` over all runs at
+    /// once, and `merge_two` folded over the runs one at a time.
     fn run_all_merges(runs: &[Vec<ObjId>], label: &str) {
-        let (members, spans) = layout(runs);
         let expected = reference(runs);
-        let mut cursors = Vec::new();
-        let mut heap = BinaryHeap::new();
-        let mut tree = Vec::new();
         let mut out = Vec::new();
-
-        merge_flat(&members, &spans, &mut out);
+        merge_flat(runs.iter().map(Vec::as_slice), &mut out);
         assert_eq!(out, expected, "flat: {label}");
 
-        out.clear();
-        merge_heap(&members, &spans, &mut cursors, &mut heap, &mut out);
-        assert_eq!(out, expected, "heap: {label}");
-
-        out.clear();
-        merge_winner(&members, &spans, &mut cursors, &mut tree, &mut out);
-        assert_eq!(out, expected, "winner: {label}");
-
-        // Gallop: giant = longest run, the rest concat-sorted-deduped.
-        if let Some(gi) = spans
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &(s, e))| e - s)
-            .map(|(i, _)| i)
-        {
-            let mut small = Vec::new();
-            for (i, &(s, e)) in spans.iter().enumerate() {
-                if i != gi {
-                    small.extend_from_slice(&members[s..e]);
-                }
-            }
-            small.sort_unstable();
-            small.dedup();
-            let (s, e) = spans[gi];
+        let mut acc: Vec<ObjId> = Vec::new();
+        for run in runs {
             out.clear();
-            merge_gallop(&members[s..e], &small, &mut out);
-            assert_eq!(out, expected, "gallop: {label}");
+            merge_two(&acc, run, &mut out);
+            std::mem::swap(&mut acc, &mut out);
         }
+        assert_eq!(acc, expected, "merge_two: {label}");
     }
 
     #[test]
@@ -2376,7 +1939,7 @@ mod tests {
         );
         // All runs empty.
         run_all_merges(&[vec![], vec![], vec![]], "all empty");
-        // One giant run plus many singletons (the gallop regime).
+        // One giant run plus many singletons.
         let giant: Vec<ObjId> = (0..500).map(|i| i * 3).collect();
         let mut runs = vec![giant];
         for i in 0..20 {
@@ -2396,112 +1959,8 @@ mod tests {
             ],
             "interleaved",
         );
-        // Single run (forced general routes must still work).
+        // Single run.
         run_all_merges(&[vec![2, 4, 8]], "single run");
-    }
-
-    #[test]
-    fn gallop_lower_bound_brackets_correctly() {
-        let run: Vec<ObjId> = vec![2, 4, 6, 8, 10, 12, 14];
-        for from in 0..=run.len() {
-            for v in 0..16u32 {
-                let expect = (from..run.len())
-                    .find(|&i| run[i] >= v)
-                    .unwrap_or(run.len());
-                assert_eq!(
-                    gallop_lower_bound(&run, from, v),
-                    expect,
-                    "from={from} v={v}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn route_chooser_matches_documented_thresholds() {
-        let t = RouteTable::DEFAULT;
-        // Skewed: giant of 100 vs rest of 10 → gallop.
-        assert_eq!(t.choose(5, 110, 100), MergeRoute::Gallop);
-        // Giant too small for galloping to pay off.
-        assert_eq!(t.choose(3, 14, 12), MergeRoute::Flat);
-        // Few balanced runs → flat.
-        assert_eq!(t.choose(8, 800, 100), MergeRoute::Flat);
-        // Many short runs → heap.
-        assert_eq!(t.choose(50, 80, 4), MergeRoute::Heap);
-        // Many long balanced runs → winner tree.
-        assert_eq!(t.choose(50, 5_000, 120), MergeRoute::Winner);
-    }
-
-    #[test]
-    fn tuned_route_table_changes_routing_not_answers() {
-        let ds = generate(Distribution::AntiCorrelated, 800, 5, 41);
-        let cube = compute_cube(&ds);
-        let index = cube.index();
-        assert_eq!(index.route_table(), RouteTable::DEFAULT);
-
-        let mut scratch = IndexScratch::default();
-        let mut baseline: Vec<(DimMask, Vec<ObjId>, MergeRoute)> = Vec::new();
-        for space in ds.full_space().subsets() {
-            let mut out = Vec::new();
-            let probe = index
-                .try_subspace_skyline_into(space, &mut scratch, &mut out)
-                .unwrap();
-            baseline.push((space, out, probe.route));
-        }
-
-        // An extreme table: flat for everything the short path doesn't take.
-        index.set_route_table(RouteTable {
-            gallop_min_giant: u32::MAX,
-            gallop_skew: u32::MAX,
-            flat_max_runs: u32::MAX,
-            heap_short_avg: 0,
-        });
-        index.invalidate_memo();
-        let mut rerouted = 0;
-        for (space, expect, old_route) in &baseline {
-            let mut out = Vec::new();
-            let probe = index
-                .try_subspace_skyline_into(*space, &mut scratch, &mut out)
-                .unwrap();
-            assert_eq!(&out, expect, "subspace {space}");
-            if probe.runs_merged > 2 {
-                assert_eq!(probe.route, MergeRoute::Flat);
-                if *old_route != MergeRoute::Flat {
-                    rerouted += 1;
-                }
-            }
-        }
-        assert!(rerouted > 0, "the extreme table should reroute something");
-    }
-
-    #[test]
-    fn forced_routes_agree_with_auto_routing() {
-        for dist in [Distribution::Independent, Distribution::AntiCorrelated] {
-            let ds = generate(dist, 800, 5, 41);
-            let cube = compute_cube(&ds);
-            let index = cube.index();
-            let mut scratch = IndexScratch::default();
-            let mut out = Vec::new();
-            let mut forced_out = Vec::new();
-            for space in ds.full_space().subsets() {
-                index
-                    .try_subspace_skyline_into(space, &mut scratch, &mut out)
-                    .unwrap();
-                for route in MergeRoute::ALL {
-                    let probe = index
-                        .try_subspace_skyline_routed(space, route, &mut scratch, &mut forced_out)
-                        .unwrap();
-                    assert_eq!(
-                        forced_out,
-                        out,
-                        "{} route {} subspace {space}",
-                        dist.name(),
-                        route.name()
-                    );
-                    assert_eq!(probe.memo, MemoOutcome::Bypass);
-                }
-            }
-        }
     }
 
     #[test]
@@ -2517,11 +1976,12 @@ mod tests {
                 .unwrap();
             assert_eq!(probe.runs_merged, probe.matched);
             assert!(probe.elements_merged >= out.len());
-            if probe.runs_merged <= 2 {
-                assert_eq!(probe.route, MergeRoute::Short);
+            let want = if probe.runs_merged <= 2 {
+                MergeRoute::Short
             } else {
-                assert_ne!(probe.route, MergeRoute::Short);
-            }
+                MergeRoute::Flat
+            };
+            assert_eq!(probe.route, want, "subspace {space}");
         }
     }
 
@@ -2627,5 +2087,38 @@ mod tests {
                 .unwrap();
             assert_eq!(out, cube.subspace_skyline(space), "cloned {space}");
         }
+    }
+
+    #[test]
+    fn memo_counters_do_not_depend_on_hash_order() {
+        // Two indexes over one cube hash their memo maps with different
+        // seeds. Fed the same subspace sequence past the entry budget
+        // (1,023 subspaces against 512 entries), they must still pick the
+        // same ancestors, stamp and evict the same entries, and count the
+        // same outcomes.
+        let ds = generate(Distribution::Independent, 300, 10, 7);
+        let cube = compute_cube(&ds);
+        let a = CubeIndex::build(&cube);
+        let b = CubeIndex::build(&cube);
+        let spaces: Vec<DimMask> = ds.full_space().subsets().collect();
+        let mut scratch = IndexScratch::default();
+        let mut out = Vec::new();
+        // A fixed pseudo-random walk mixes parents and children.
+        let mut x = 1u64;
+        for _ in 0..3 * spaces.len() {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let space = spaces[(x >> 33) as usize % spaces.len()];
+            for index in [&a, &b] {
+                index
+                    .try_subspace_skyline_into(space, &mut scratch, &mut out)
+                    .unwrap();
+            }
+        }
+        let stats = a.memo_stats();
+        assert!(stats.evictions > 0, "budget never reached: {stats:?}");
+        assert!(stats.ancestor_hits > 0, "no ancestor seeding: {stats:?}");
+        assert_eq!(stats, b.memo_stats());
     }
 }

@@ -53,7 +53,7 @@ pub use extend::{
 };
 pub use index::{
     CubeIndex, IndexProbe, IndexScratch, MemoOutcome, MemoStats, MergeRoute, QueryBudget,
-    QueryError, RouteTable,
+    QueryError,
 };
 pub use lattice::{diff_groups, quotient_map, GroupDelta, GroupLattice};
 pub use maintenance::{MaintenanceDelta, MaintenanceStats, StellarEngine, TouchedGroup};

@@ -24,7 +24,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_opts(rest) {
+    let opts = match parse_opts(cmd, rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -41,11 +41,11 @@ fn main() -> ExitCode {
         "query" => cmd_query(&opts),
         "serve" => cmd_serve(&opts),
         "connect" => cmd_connect(&opts),
-        "help" | "--help" | "-h" => {
+        // help, --help, -h: parse_opts refused every other command name.
+        _ => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -103,22 +103,15 @@ commands:
            BASE.shard0..K-1 (either format);
            --inject-faults (builds with the `faults` feature only) forces
            failures: panic-route[=N],slow-route=MS,corrupt-cube,
-           poison-cache,seed=N;
-           --autotune attaches the online route tuner to the indexed
-           stellar source (answers are ablation-checked against the
-           default table, so they never change);
-           --partition contiguous|hash (with --shards) selects the shard
-           plan; hash is a diagnostic stub explaining the contiguous-id
-           constraint
+           poison-cache,seed=N
   serve    --data FILE.csv [--socket PATH] [--listen HOST:PORT]
-           [--wal PATH] [--checkpoint-every N] [--tuner-state PATH]
-           [--workers N] [--backlog N] [--io-timeout-ms MS]
-           [--idle-timeout-ms MS] [--threads N] [--cache N]
-           [--kernel scalar|columnar] [--deadline-ms MS] [--no-autotune]
-           [--metrics] [--inject-faults SPEC]
+           [--wal PATH] [--checkpoint-every N] [--workers N]
+           [--backlog N] [--io-timeout-ms MS] [--idle-timeout-ms MS]
+           [--threads N] [--cache N] [--kernel scalar|columnar]
+           [--deadline-ms MS] [--metrics] [--inject-faults SPEC]
            resident daemon: builds the engine once, keeps the serving
-           index, subspace cache, scratch pool and route tuner warm, and
-           answers the query protocol on stdin (and, with --socket /
+           index, subspace cache and scratch pool warm, and answers
+           the query protocol on stdin (and, with --socket /
            --listen, on a Unix socket and/or TCP listener through a
            bounded worker pool: --workers fixed threads, a --backlog
            accept queue that sheds on overflow, per-connection
@@ -133,35 +126,64 @@ commands:
            patches, and startup replays checkpoint + log tail
            (recovered ≡ rebuilt); 'checkpoint' (or --checkpoint-every N
            mutations) rewrites the snapshot and truncates the log.
-           --tuner-state PATH (default: WAL.tuner beside --wal) persists
-           the learned route table across restarts. --deadline-ms bounds
-           each query AND arms admission control: waves whose projected
-           per-verb queue wait exceeds the deadline are shed with a
-           resource-exhausted error instead of queueing. --metrics dumps
-           the metrics block to stdout on exit
+           --deadline-ms bounds each query AND arms admission control:
+           waves whose projected per-verb queue wait exceeds the
+           deadline are shed with a resource-exhausted error instead of
+           queueing. --metrics dumps the metrics block to stdout on exit
   connect  --socket PATH | --tcp HOST:PORT [--workload FILE|-]
            [--timeout-ms MS] [--retries N]   client for serve: sends the
            workload (stdin by default) to a resident daemon and streams
            the replies back; --retries N retries refused/reset connects
            with exponential backoff + jitter, --timeout-ms bounds every
-           send and recv";
+           send and recv
+
+Options a command does not read are refused, not ignored.";
 
 type Opts = HashMap<String, String>;
 
-fn parse_opts(rest: &[String]) -> Result<Opts, String> {
+/// The options `cmd` reads, as space-separated `(options taking a value,
+/// flags)`; `None` for an unknown command. Anything else on its command
+/// line is refused: a mistyped option must not silently fall back to a
+/// default.
+fn known_options(cmd: &str) -> Option<(&'static str, &'static str)> {
+    Some(match cmd {
+        "generate" => ("dist count dims seed out", "nba"),
+        "build" => ("data out threads kernel shards format", ""),
+        "stats" => ("data threads kernel maintain shards", ""),
+        "skyline" => ("cube space", ""),
+        "member" => ("cube object space", ""),
+        "top" => ("cube k", ""),
+        "query" => (
+            "data cube source workload cache threads shards kernel anchors \
+             deadline-ms inject-faults",
+            "stats fallback",
+        ),
+        "serve" => (
+            "data socket listen wal checkpoint-every workers backlog io-timeout-ms \
+             idle-timeout-ms threads cache kernel deadline-ms inject-faults",
+            "metrics",
+        ),
+        "connect" => ("socket tcp workload timeout-ms retries", ""),
+        "help" | "--help" | "-h" => ("", ""),
+        _ => return None,
+    })
+}
+
+fn parse_opts(cmd: &str, rest: &[String]) -> Result<Opts, String> {
+    let (valued, flags) = known_options(cmd).ok_or_else(|| format!("unknown command {cmd:?}"))?;
+    let lists = |names: &str, key: &str| names.split_whitespace().any(|n| n == key);
     let mut opts = Opts::new();
     let mut it = rest.iter();
     while let Some(k) = it.next() {
         let Some(key) = k.strip_prefix("--") else {
             return Err(format!("expected --option, got {k:?}"));
         };
-        // Flags without values.
-        if matches!(
-            key,
-            "nba" | "stats" | "fallback" | "autotune" | "no-autotune" | "metrics"
-        ) {
+        if lists(flags, key) {
             opts.insert(key.to_string(), "true".to_string());
             continue;
+        }
+        if !lists(valued, key) {
+            return Err(format!("unknown option --{key} for {cmd}"));
         }
         let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
         opts.insert(key.to_string(), v.clone());
@@ -250,22 +272,6 @@ fn shard_count(opts: &Opts) -> Result<Option<usize>, String> {
     }
 }
 
-/// `--partition contiguous|hash` (default contiguous): the shard plan for
-/// `--shards`. `hash` surfaces the [`ShardPlan::hash`] diagnostic — shards
-/// must own contiguous global-id ranges, so hash partitioning is an
-/// explained refusal, not a silent fallback.
-fn check_partition(opts: &Opts, num_objects: usize, shards: usize) -> Result<(), String> {
-    match opts.get("partition").map(String::as_str) {
-        None | Some("contiguous") => Ok(()),
-        Some("hash") => ShardPlan::hash(num_objects, shards)
-            .map(|_| ())
-            .map_err(|e| e.to_string()),
-        Some(other) => Err(format!(
-            "bad --partition {other:?} (expected contiguous or hash)"
-        )),
-    }
-}
-
 /// How `build` writes its cubes, selected by `--format`.
 type SaveFn = fn(&CompressedSkylineCube, &str) -> skycube::types::Result<()>;
 
@@ -285,7 +291,6 @@ fn cmd_build(opts: &Opts) -> Result<(), String> {
     let out = req(opts, "out")?;
     let save = save_format(opts)?;
     if let Some(shards) = shard_count(opts)? {
-        check_partition(opts, ds.len(), shards)?;
         let t = std::time::Instant::now();
         let cube = ShardedCube::build_with(&ds, shards, Parallelism::available(), runner(opts)?);
         let mut groups = 0;
@@ -554,7 +559,6 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
             ));
         }
         let ds = load_data(opts)?;
-        check_partition(opts, ds.len(), shards)?;
         // With --cube BASE the per-shard cubes are reopened from
         // BASE.shard0..K-1 (either format, auto-detected) instead of being
         // rebuilt; binary shard cubes serve straight from their zero-copy
@@ -593,18 +597,6 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
             let want_fallback = opts.contains_key("fallback");
             if !want_fallback {
                 let cube = stellar_cube(opts)?;
-                // --autotune: the same source the daemon serves from, with
-                // the online route tuner attached. Every explored route is
-                // ablation-checked against the production answer, so the
-                // output is byte-identical to the untuned run (ci pins it).
-                if opts.contains_key("autotune") {
-                    let tuner = std::sync::Arc::new(skycube::serve::RouteTuner::new());
-                    return serve_workload(
-                        IndexedCubeSource::with_tuner(&cube, tuner),
-                        &queries,
-                        &serving,
-                    );
-                }
                 return serve_workload(IndexedCubeSource::new(&cube), &queries, &serving);
             }
             // The degradation ladder: indexed -> scan (same cube) -> direct
@@ -732,7 +724,7 @@ fn stellar_cube_checked(
 /// checkpoint + WAL with `--wal`), then answer the daemon protocol on
 /// stdin and — with `--socket PATH` and/or `--listen HOST:PORT` — through
 /// a bounded worker pool on the listeners, all sharing the same warm
-/// index, cache, scratch pool and route tuner. See
+/// index, cache and scratch pool. See
 /// [`skycube::serve::daemon`] for the protocol and durability contract.
 fn cmd_serve(opts: &Opts) -> Result<(), String> {
     use skycube::serve::daemon::ConnectionEnd;
@@ -783,21 +775,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         }
         None => None,
     };
-    // The tuner sidecar rides beside the WAL by default; --tuner-state
-    // names it explicitly (and works without a WAL).
-    let tuner_path = opts
-        .get("tuner-state")
-        .map(std::path::PathBuf::from)
-        .or_else(|| wal_path.as_ref().map(|w| sidecar_path(w, ".tuner")));
-    let route_table = match &tuner_path {
-        Some(p) if p.exists() => {
-            let table = skycube::serve::load_route_table(p)
-                .map_err(|e| format!("tuner sidecar {}: {e}", p.display()))?;
-            eprintln!("# tuner: restored route table from {}", p.display());
-            Some(table)
-        }
-        _ => None,
-    };
     let config = DaemonConfig {
         cache_capacity: match opts.get("cache") {
             Some(n) => num::<usize>(n, "cache capacity")?,
@@ -805,8 +782,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         },
         threads,
         deadline,
-        autotune: !opts.contains_key("no-autotune"),
-        route_table,
         #[cfg(feature = "faults")]
         plan,
         ..DaemonConfig::default()
@@ -914,29 +889,10 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         daemon.sync_wal();
     }
-    // Persist what the tuner learned so the next boot starts from the
-    // incumbent instead of re-exploring.
-    if let (Some(path), Some(tuner)) = (&tuner_path, daemon.tuner()) {
-        let table = tuner.snapshot().table;
-        match skycube::serve::save_route_table(path, &table) {
-            Ok(()) => eprintln!("# tuner: saved route table to {}", path.display()),
-            Err(e) => eprintln!("# tuner: failed to save route table: {e}"),
-        }
-    }
     if opts.contains_key("metrics") {
         print!("{}", daemon.metrics_text());
     }
     Ok(())
-}
-
-/// `path` with `suffix` appended to its file name (`d.wal` → `d.wal.tuner`).
-fn sidecar_path(path: &std::path::Path, suffix: &str) -> std::path::PathBuf {
-    let mut name = path.file_name().map_or_else(
-        || std::ffi::OsString::from("wal"),
-        std::ffi::OsStr::to_os_string,
-    );
-    name.push(suffix);
-    path.with_file_name(name)
 }
 
 /// The `torn-wal-tail` fault: append deterministic garbage to the WAL

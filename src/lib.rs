@@ -53,12 +53,11 @@ pub mod prelude {
     pub use skycube_datagen::{generate, nba_table, nba_table_sized, Distribution};
     pub use skycube_parallel::Parallelism;
     pub use skycube_serve::{
-        format_answer, load_route_table, parse_workload, recover, run_batch, run_batch_with,
-        save_route_table, AnchoredSubskySource, Answer, BatchOptions, CachedSource, Daemon,
-        DaemonConfig, DaemonMetrics, DirectSource, FallbackSource, IndexedCubeSource, PoolConfig,
-        Query, Recovery, RouteTuner, ScanCubeSource, ServeError, ShardPlan, ShardedCube,
-        ShardedSource, SkyCubeSource, SkylineSource, SubskySource, TornTail, TunerSnapshot, Wal,
-        WalOpen, WalRecord,
+        format_answer, parse_workload, recover, run_batch, run_batch_with, AnchoredSubskySource,
+        Answer, BatchOptions, CachedSource, Daemon, DaemonConfig, DaemonMetrics, DirectSource,
+        FallbackSource, IndexedCubeSource, PoolConfig, Query, Recovery, ScanCubeSource, ServeError,
+        ShardPlan, ShardedCube, ShardedSource, SkyCubeSource, SkylineSource, SubskySource,
+        TornTail, Wal, WalOpen, WalRecord,
     };
     pub use skycube_skyey::{skyey_groups, SkyCube};
     pub use skycube_skyline::{skyline, skyline_parallel, Algorithm};

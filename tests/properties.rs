@@ -526,39 +526,54 @@ proptest! {
     }
 
     #[test]
-    fn all_merge_routes_agree_on_random_datasets(ds in paper_dataset()) {
-        // The adaptive router's contract: for every subspace of a cube
-        // built under either dominance kernel, every forced merge route,
-        // the auto-routed cold path, and the memo-warmed repeat all equal
-        // the naive skyline. The second auto pass exercises the
-        // lattice-memo prefilter (exact and ancestor hits) on the same
-        // scratch state the forced routes just used.
-        use skycube::stellar::{IndexScratch, MergeRoute};
+    fn cold_and_memo_warm_index_agree_with_scan(ds in paper_dataset()) {
+        // The index's contract: for every subspace of a cube built under
+        // either dominance kernel and any thread count, the cold index
+        // (memo emptied before each query, so the posting prefilter runs)
+        // and the memo-warm index equal the cube's scan path, through
+        // both merge routes, and the scan path equals the naive skyline.
+        // The warming sweep runs parents first so ancestor hits seed the
+        // children; the repeat is served by exact hits.
+        use skycube::stellar::{CubeIndex, IndexScratch, MemoOutcome};
+        let mut spaces: Vec<DimMask> = ds.full_space().subsets().collect();
+        spaces.reverse();
+        let naive: Vec<Vec<ObjId>> = spaces
+            .iter()
+            .map(|&space| skycube::algorithms::skyline_naive(&ds, space))
+            .collect();
         for kernel in DominanceKernel::ALL {
-            let cube = Stellar::new().with_kernel(kernel).compute(&ds);
-            let index = cube.index();
-            let mut scratch = IndexScratch::default();
-            let mut out = Vec::new();
-            for space in ds.full_space().subsets() {
-                let expect = skycube::algorithms::skyline_naive(&ds, space);
-                for route in MergeRoute::ALL {
-                    index
-                        .try_subspace_skyline_routed(space, route, &mut scratch, &mut out)
-                        .unwrap();
+            for threads in [1usize, 4] {
+                let cube = Stellar::new()
+                    .with_kernel(kernel)
+                    .with_threads(threads)
+                    .compute(&ds);
+                for (&space, expect) in spaces.iter().zip(&naive) {
                     prop_assert_eq!(
-                        &out, &expect,
-                        "forced {} on {} under {}", route.name(), space, kernel.name()
+                        &cube.subspace_skyline(space), expect,
+                        "scan on {} under {} × {} threads", space, kernel.name(), threads
                     );
                 }
-                for pass in ["cold", "memo-warm"] {
-                    let probe = index
-                        .try_subspace_skyline_into(space, &mut scratch, &mut out)
-                        .unwrap();
-                    prop_assert_eq!(
-                        &out, &expect,
-                        "auto ({}, route {}) on {} under {}",
-                        pass, probe.route.name(), space, kernel.name()
-                    );
+                let index = CubeIndex::build(&cube);
+                let mut scratch = IndexScratch::default();
+                let mut out = Vec::new();
+                for pass in ["cold", "warming", "memo-warm"] {
+                    for (&space, expect) in spaces.iter().zip(&naive) {
+                        if pass == "cold" {
+                            index.invalidate_memo();
+                        }
+                        let probe = index
+                            .try_subspace_skyline_into(space, &mut scratch, &mut out)
+                            .unwrap();
+                        if pass == "cold" {
+                            prop_assert_eq!(probe.memo, MemoOutcome::Miss);
+                        }
+                        prop_assert_eq!(
+                            &out, expect,
+                            "{} (route {}, memo {}) on {} under {} × {} threads",
+                            pass, probe.route.name(), probe.memo.name(), space,
+                            kernel.name(), threads
+                        );
+                    }
                 }
             }
         }
