@@ -1,6 +1,5 @@
 #!/usr/bin/env sh
 # Local CI gate: formatting, lints, and the tier-1 suite.
-# Usage: ./ci.sh        (add WORKSPACE=1 to also test every crate)
 set -eu
 
 echo '== cargo fmt --check'
@@ -9,9 +8,9 @@ cargo fmt --all -- --check
 echo '== cargo clippy (deny warnings)'
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo '== tier-1: build + test (root package)'
+echo '== tier-1: build + test (every crate of the workspace)'
 cargo build --release
-cargo test -q
+cargo test --workspace -q
 
 echo '== bench harness bins (kernel- and query-ablation rot gate)'
 cargo build --release -p skycube-bench --bins
@@ -343,11 +342,6 @@ echo '== serve bench smoke: daemon ≡ batch'
 if ! grep -q '"verified_subspaces": 15' "$SMOKE_DIR/serve.json"; then
     echo "serve bench smoke: subspace verification did not run" >&2
     exit 1
-fi
-
-if [ "${WORKSPACE:-0}" = "1" ]; then
-    echo '== workspace tests'
-    cargo test --workspace -q
 fi
 
 echo '== ci.sh: all green'

@@ -7,6 +7,11 @@
 //! current branch skipped or that precedes the anchor, the group is generated
 //! elsewhere — abandon the branch). Each maximal c-group is produced exactly
 //! once, from the branch anchored at its smallest member.
+//!
+//! Every member of a group anchored at `a` shares a value with `a`, so the
+//! search of anchor `a` walks only `a`'s *partners* — the seeds in its agree
+//! sets, from [`SeedView::partners`] — and its cost follows the agreeing
+//! pairs, not all pairs of seeds.
 
 use crate::matrices::SeedView;
 use skycube_parallel::{par_map_indexed, Parallelism};
@@ -27,18 +32,11 @@ pub struct MaxCGroup {
 /// `({o}, D)` (the paper assumes no two objects agree on all dimensions —
 /// callers bind duplicates first, see `Dataset::bind_duplicates`).
 pub fn maximal_cgroups(view: &SeedView<'_>) -> Vec<MaxCGroup> {
-    let n = view.len();
-    let full = view.dataset().full_space();
     let mut out = Vec::new();
-    let mut co_row: Vec<DimMask> = Vec::new();
     // Scratch reused across top-level anchors.
-    let mut search = Search {
-        co_row: &mut co_row,
-        out: &mut out,
-        members: Vec::new(),
-    };
-    for anchor in 0..n {
-        anchor_search(view, anchor, full, &mut search);
+    let mut search = Search::default();
+    for anchor in 0..view.len() {
+        search.run(view, anchor, &mut out);
     }
     debug_assert!(no_duplicates(&out), "duplicate maximal c-groups emitted");
     out
@@ -54,17 +52,9 @@ pub fn maximal_cgroups_par(view: &SeedView<'_>, par: Parallelism) -> Vec<MaxCGro
     if par.is_sequential() {
         return maximal_cgroups(view);
     }
-    let n = view.len();
-    let full = view.dataset().full_space();
-    let per_anchor: Vec<Vec<MaxCGroup>> = par_map_indexed(par, n, |anchor| {
+    let per_anchor: Vec<Vec<MaxCGroup>> = par_map_indexed(par, view.len(), |anchor| {
         let mut out = Vec::new();
-        let mut co_row: Vec<DimMask> = Vec::new();
-        let mut search = Search {
-            co_row: &mut co_row,
-            out: &mut out,
-            members: Vec::new(),
-        };
-        anchor_search(view, anchor, full, &mut search);
+        Search::default().run(view, anchor, &mut out);
         out
     });
     let out: Vec<MaxCGroup> = per_anchor.into_iter().flatten().collect();
@@ -72,59 +62,69 @@ pub fn maximal_cgroups_par(view: &SeedView<'_>, par: Parallelism) -> Vec<MaxCGro
     out
 }
 
-/// Run the set-enumeration search of one top-level anchor, appending every
-/// maximal c-group anchored at it (smallest member = `anchor`) to
-/// `search.out`.
-fn anchor_search(view: &SeedView<'_>, anchor: usize, full: DimMask, search: &mut Search<'_>) {
-    view.co_row(anchor, search.co_row);
-    let tail: Vec<usize> = (anchor + 1..view.len()).collect();
-    search.members.clear();
-    search.members.push(anchor);
-    search.recurse(&tail, full);
-}
-
-struct Search<'s> {
-    /// Coincidence row of the current anchor: `co_row[j] = co(anchor, j)`.
-    co_row: &'s mut Vec<DimMask>,
-    out: &'s mut Vec<MaxCGroup>,
-    /// Current group under construction (anchor first, then branch/closure
-    /// members in the order they were absorbed — sorted before emission).
+/// The set-enumeration search of one anchor, over its partner list.
+#[derive(Default)]
+struct Search {
+    anchor: usize,
+    /// The anchor's partners `(j, co(anchor, j))`, ascending by `j`.
+    partners: Vec<(usize, DimMask)>,
+    /// `in_group[p]`: partner `p` is in the group under construction.
+    in_group: Vec<bool>,
+    /// Partner positions of the group under construction, besides the
+    /// anchor, in the order they were absorbed (sorted before emission).
     members: Vec<usize>,
 }
 
-impl Search<'_> {
-    /// One node of the set-enumeration tree: `members` coincide with the
-    /// anchor on `space`; `tail` holds the seed indexes still extendable
-    /// (all greater than the last branch point).
-    fn recurse(&mut self, tail: &[usize], space: DimMask) {
-        // Closure: absorb every seed outside the group coinciding on all of
-        // `space` with the anchor. Any such seed that is not available in
-        // `tail` means this exact group is enumerated on another branch.
+impl Search {
+    /// Append every maximal c-group anchored at `anchor` (smallest member =
+    /// `anchor`) to `out`.
+    fn run(&mut self, view: &SeedView<'_>, anchor: usize, out: &mut Vec<MaxCGroup>) {
+        self.anchor = anchor;
+        view.partners(anchor, &mut self.partners);
+        self.in_group.clear();
+        self.in_group.resize(self.partners.len(), false);
+        self.members.clear();
+        // Only partners after the anchor can join its groups.
+        let first = self.partners.partition_point(|&(j, _)| j < anchor);
+        let tail: Vec<usize> = (first..self.partners.len()).collect();
+        self.recurse(&tail, view.dataset().full_space(), out);
+    }
+
+    /// One node of the set-enumeration tree: the group coincides with the
+    /// anchor on `space`; `tail` holds the partner positions still
+    /// extendable (all greater than the last branch point), ascending.
+    fn recurse(&mut self, tail: &[usize], space: DimMask, out: &mut Vec<MaxCGroup>) {
+        // Closure: absorb every partner outside the group coinciding on all
+        // of `space` with the anchor. Any such partner that is not available
+        // in `tail` means this exact group is enumerated on another branch.
         let mut absorbed = 0usize;
-        for j in 0..self.co_row.len() {
-            if self.co_row[j].is_superset_of(space) && !self.members.contains(&j) {
-                if !tail.contains(&j) {
-                    self.members.truncate(self.members.len() - absorbed);
+        for p in 0..self.partners.len() {
+            if self.partners[p].1.is_superset_of(space) && !self.in_group[p] {
+                if tail.binary_search(&p).is_err() {
+                    self.pop(absorbed);
                     return; // canonical-prefix prune
                 }
-                self.members.push(j);
+                self.push(p);
                 absorbed += 1;
             }
         }
 
         let mut group: Vec<usize> = self.members.clone();
         group.sort_unstable();
-        self.out.push(MaxCGroup {
-            members: group,
+        let members = std::iter::once(self.anchor)
+            .chain(group.iter().map(|&p| self.partners[p].0))
+            .collect();
+        out.push(MaxCGroup {
+            members,
             subspace: space,
         });
 
         // Branch on each remaining tail element that still shares something.
-        for (pos, &j) in tail.iter().enumerate() {
-            if self.members.contains(&j) {
+        for (pos, &p) in tail.iter().enumerate() {
+            if self.in_group[p] {
                 continue; // absorbed by the closure above
             }
-            let sub = self.co_row[j] & space;
+            let sub = self.partners[p].1 & space;
             if sub.is_empty() {
                 continue;
             }
@@ -137,14 +137,26 @@ impl Search<'_> {
             let new_tail: Vec<usize> = tail[pos + 1..]
                 .iter()
                 .copied()
-                .filter(|&k| self.co_row[k].intersects(sub))
+                .filter(|&q| self.partners[q].1.intersects(sub))
                 .collect();
-            self.members.push(j);
-            self.recurse(&new_tail, sub);
-            self.members.pop();
+            self.push(p);
+            self.recurse(&new_tail, sub, out);
+            self.pop(1);
         }
 
-        self.members.truncate(self.members.len() - absorbed);
+        self.pop(absorbed);
+    }
+
+    fn push(&mut self, p: usize) {
+        self.in_group[p] = true;
+        self.members.push(p);
+    }
+
+    /// Undo the last `k` pushes.
+    fn pop(&mut self, k: usize) {
+        for p in self.members.drain(self.members.len() - k..) {
+            self.in_group[p] = false;
+        }
     }
 }
 
@@ -189,6 +201,76 @@ pub fn maximal_cgroups_bruteforce(view: &SeedView<'_>) -> Vec<MaxCGroup> {
     }
     out.sort_by(|a, b| (a.subspace, &a.members).cmp(&(b.subspace, &b.members)));
     out
+}
+
+/// Reference for [`maximal_cgroups`], which must match it `Vec` for `Vec`:
+/// the dense search, where every node scans the anchor's whole coincidence
+/// row (one scalar `co_mask` per seed) and `tail` starts as every later
+/// seed.
+#[cfg(test)]
+pub fn maximal_cgroups_dense(view: &SeedView<'_>) -> Vec<MaxCGroup> {
+    let ds = view.dataset();
+    let mut out = Vec::new();
+    for anchor in 0..view.len() {
+        let u = view.id(anchor);
+        let co_row: Vec<DimMask> = view.seeds().iter().map(|&v| ds.co_mask(u, v)).collect();
+        let tail: Vec<usize> = (anchor + 1..view.len()).collect();
+        let mut search = DenseSearch {
+            co_row: &co_row,
+            out: &mut out,
+            members: vec![anchor],
+        };
+        search.recurse(&tail, ds.full_space());
+    }
+    out
+}
+
+#[cfg(test)]
+struct DenseSearch<'s> {
+    co_row: &'s [DimMask],
+    out: &'s mut Vec<MaxCGroup>,
+    members: Vec<usize>,
+}
+
+#[cfg(test)]
+impl DenseSearch<'_> {
+    fn recurse(&mut self, tail: &[usize], space: DimMask) {
+        let mut absorbed = 0usize;
+        for j in 0..self.co_row.len() {
+            if self.co_row[j].is_superset_of(space) && !self.members.contains(&j) {
+                if !tail.contains(&j) {
+                    self.members.truncate(self.members.len() - absorbed);
+                    return;
+                }
+                self.members.push(j);
+                absorbed += 1;
+            }
+        }
+        let mut group: Vec<usize> = self.members.clone();
+        group.sort_unstable();
+        self.out.push(MaxCGroup {
+            members: group,
+            subspace: space,
+        });
+        for (pos, &j) in tail.iter().enumerate() {
+            if self.members.contains(&j) {
+                continue;
+            }
+            let sub = self.co_row[j] & space;
+            if sub.is_empty() {
+                continue;
+            }
+            let new_tail: Vec<usize> = tail[pos + 1..]
+                .iter()
+                .copied()
+                .filter(|&k| self.co_row[k].intersects(sub))
+                .collect();
+            self.members.push(j);
+            self.recurse(&new_tail, sub);
+            self.members.pop();
+        }
+        self.members.truncate(self.members.len() - absorbed);
+    }
 }
 
 #[cfg(test)]

@@ -131,7 +131,7 @@ impl Stellar {
     }
 
     /// Choose the dominance kernel for every comparison-heavy stage: the
-    /// full-space skyline, the seed mask rows, and the non-seed
+    /// full-space skyline, the seed dominance rows, and the non-seed
     /// accommodation scan. The default is [`DominanceKernel::Columnar`];
     /// `Scalar` selects the per-pair reference path.
     pub fn with_kernel(mut self, kernel: DominanceKernel) -> Self {

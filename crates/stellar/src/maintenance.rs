@@ -692,8 +692,12 @@ impl StellarEngine {
     fn build_cache(&self) -> CachedSeedLattice {
         let ds = self.dataset();
         let (bound, reps) = ds.bind_duplicates();
-        let seeds_bound = self.runner.algorithm().run(&bound, bound.full_space());
-        let view = SeedView::new(&bound, seeds_bound.clone());
+        let kernel = self.runner.kernel();
+        let seeds_bound = self
+            .runner
+            .algorithm()
+            .run_with(&bound, bound.full_space(), kernel);
+        let view = SeedView::with_kernel(&bound, seeds_bound.clone(), kernel);
         let seed_groups = seed_skyline_groups(&view);
         let ctx = ExtensionContext::new(&view);
         let mut ext: Vec<Vec<SkylineGroup>> = Vec::with_capacity(seed_groups.len());
@@ -928,6 +932,50 @@ mod tests {
             }
             assert_cubes_equal(&engine);
         }
+    }
+
+    #[test]
+    fn scalar_and_columnar_engines_hold_equal_cubes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use skycube_types::DominanceKernel;
+        let engine = |kernel| {
+            StellarEngine::with_runner(
+                &running_example(),
+                Stellar::new().with_threads(1).with_kernel(kernel),
+            )
+        };
+        let mut scalar = engine(DominanceKernel::Scalar);
+        let mut columnar = engine(DominanceKernel::Columnar);
+        let mut rng = StdRng::seed_from_u64(77);
+        for step in 0..60 {
+            if scalar.len() > 2 && rng.gen_bool(0.4) {
+                let id = rng.gen_range(0..scalar.len() as u32);
+                assert_eq!(scalar.delete(id).unwrap(), columnar.delete(id).unwrap());
+            } else {
+                let row: Vec<i64> = (0..4).map(|_| rng.gen_range(0..8)).collect();
+                let id = scalar.insert(row.clone()).unwrap();
+                assert_eq!(columnar.insert(row).unwrap(), id);
+            }
+            assert_eq!(
+                scalar.maintenance_stats(),
+                columnar.maintenance_stats(),
+                "step {step}"
+            );
+            assert_eq!(
+                scalar.cube().seeds(),
+                columnar.cube().seeds(),
+                "step {step}"
+            );
+            assert_eq!(
+                scalar.cube().groups(),
+                columnar.cube().groups(),
+                "step {step}"
+            );
+            assert_cubes_equal(&scalar);
+        }
+        assert!(scalar.maintenance_stats().fast() > 0);
+        assert!(scalar.maintenance_stats().full() > 0);
     }
 
     #[test]

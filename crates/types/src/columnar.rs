@@ -5,11 +5,10 @@
 //! time, walking a row-major table. The kernels here instead sweep one
 //! *column* across many candidates at a time: a [`ColumnView`] stores each
 //! dimension as a contiguous `Vec<Value>`, so computing a whole comparison
-//! row (`dom(u, ·)`, `co(u, ·)`, or full [`DomRelation`]s) is a sequence of
-//! cache-linear, branch-light `i64` compare loops the compiler can
-//! auto-vectorize. [`ColumnarWindow`] is the incremental counterpart for
-//! BNL/SFS-style elimination windows, where the candidate set itself grows
-//! and shrinks as the scan proceeds.
+//! row (`co(u, ·)` or full [`DomRelation`]s) is a sequence of cache-linear,
+//! branch-light `i64` compare loops. [`ColumnarWindow`] is the incremental
+//! counterpart for BNL/SFS-style elimination windows, where the candidate
+//! set itself grows and shrinks as the scan proceeds.
 //!
 //! Engines select between the scalar reference path and these kernels with
 //! the [`DominanceKernel`] knob; both paths are required to produce
@@ -229,37 +228,6 @@ impl ColumnView {
     #[inline]
     pub fn rank(&self, d: usize) -> &[u32] {
         &self.ranks[d]
-    }
-
-    /// Batched `dom(probe, ·)` row: for every view position `p`,
-    /// `out[p] = { d ∈ space : probe[d] < value(p, d) }` — the dimensions
-    /// where the probe is strictly better. `probe` is a full row slice
-    /// (e.g. `ds.row(u)`).
-    pub fn dominance_row(&self, probe: &[Value], space: DimMask, out: &mut Vec<DimMask>) {
-        out.clear();
-        out.resize(self.len(), DimMask::EMPTY);
-        self.dominance_range(probe, space, 0..self.len(), out);
-    }
-
-    /// [`ColumnView::dominance_row`] over view positions `range` only,
-    /// writing `out[p]` for `p ∈ range`. `out` must already span the range.
-    pub fn dominance_range(
-        &self,
-        probe: &[Value],
-        space: DimMask,
-        range: Range<usize>,
-        out: &mut [DimMask],
-    ) {
-        for d in space.iter() {
-            let p = probe[d];
-            let bit = 1u32 << d;
-            for (m, &v) in out[range.clone()]
-                .iter_mut()
-                .zip(&self.cols[d][range.clone()])
-            {
-                m.0 |= bit * u32::from(p < v);
-            }
-        }
     }
 
     /// Batched `co(probe, ·)` row restricted to `space`: for every view
@@ -493,19 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn dominance_rows_match_paper_figure4() {
-        // Figure 4(a) over the seed objects P2, P4, P5 (ids 1, 3, 4).
-        let ds = running_example();
-        let seeds = [1, 3, 4];
-        let view = ColumnView::for_ids(&ds, &seeds);
-        let mut row = Vec::new();
-        view.dominance_row(ds.row(1), ds.full_space(), &mut row);
-        assert_eq!(row[0], DimMask::EMPTY); // dom(P2, P2)
-        assert_eq!(row[1], DimMask::parse("AD").unwrap()); // dom(P2, P4)
-        assert_eq!(row[2], DimMask::parse("C").unwrap()); // dom(P2, P5)
-    }
-
-    #[test]
     fn equality_rows_match_scalar_comask() {
         let ds = running_example();
         let view = ColumnView::new(&ds);
@@ -540,11 +495,12 @@ mod tests {
         let ds = running_example();
         let view = ColumnView::new(&ds);
         let mut whole = Vec::new();
-        view.dominance_row(ds.row(0), ds.full_space(), &mut whole);
+        view.equality_row(ds.row(1), ds.full_space(), &mut whole);
         let mut chunked = vec![DimMask::EMPTY; view.len()];
-        view.dominance_range(ds.row(0), ds.full_space(), 0..2, &mut chunked);
-        view.dominance_range(ds.row(0), ds.full_space(), 2..view.len(), &mut chunked);
+        view.equality_range(ds.row(1), ds.full_space(), 0..2, &mut chunked);
+        view.equality_range(ds.row(1), ds.full_space(), 2..view.len(), &mut chunked);
         assert_eq!(chunked, whole);
+        assert_ne!(chunked, vec![DimMask::EMPTY; view.len()]);
     }
 
     #[test]

@@ -369,12 +369,10 @@ proptest! {
         let space = DimMask(raw) & ds.full_space();
         let view = ColumnView::new(&ds);
         let u = (pick % ds.len()) as ObjId;
-        let (mut dom, mut eq, mut rel) = (Vec::new(), Vec::new(), Vec::new());
-        view.dominance_row(ds.row(u), space, &mut dom);
+        let (mut eq, mut rel) = (Vec::new(), Vec::new());
         view.equality_row(ds.row(u), space, &mut eq);
         view.compare_many(ds.row(u), space, &mut rel);
         for (p, v) in ds.ids().enumerate() {
-            prop_assert_eq!(dom[p], ds.dom_mask(u, v) & space, "dom u={} v={}", u, v);
             prop_assert_eq!(eq[p], ds.co_mask(u, v) & space, "co u={} v={}", u, v);
             prop_assert_eq!(rel[p], ds.compare(u, v, space), "rel u={} v={}", u, v);
             prop_assert_eq!(
@@ -382,6 +380,31 @@ proptest! {
                 ds.dominates(u, v, space)
             );
             prop_assert_eq!(eq[p] == space, ds.coincides(u, v, space));
+        }
+    }
+
+    #[test]
+    fn seed_view_rank_rows_match_scalar(ds in dataset(5, 30, 4), pick in 0usize..4096) {
+        // Every object is a seed here, so rows cover tied and dominated
+        // pairs alike; the dominance row sweeps rank columns and the
+        // coincidence row is the sparse partner list.
+        let view = SeedView::new(&ds, ds.ids().collect());
+        let i = pick % view.len();
+        let u = view.id(i);
+        let (mut dom, mut partners) = (Vec::new(), Vec::new());
+        view.dom_row(i, &mut dom);
+        view.partners(i, &mut partners);
+        let mut co = vec![DimMask::EMPTY; view.len()];
+        for &(j, m) in &partners {
+            prop_assert!(j != i && !m.is_empty());
+            co[j] = m;
+        }
+        for j in 0..view.len() {
+            let v = view.id(j);
+            prop_assert_eq!(dom[j], ds.dom_mask(u, v), "dom u={} v={}", u, v);
+            if j != i {
+                prop_assert_eq!(co[j], ds.co_mask(u, v), "co u={} v={}", u, v);
+            }
         }
     }
 
