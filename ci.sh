@@ -12,7 +12,7 @@ echo '== tier-1: build + test (every crate of the workspace)'
 cargo build --release
 cargo test --workspace -q
 
-echo '== bench harness bins (kernel- and query-ablation rot gate)'
+echo '== bench harness bins (figure and ablation rot gate)'
 cargo build --release -p skycube-bench --bins
 
 echo '== perfbench: every workload at smoke size, twice, every reply checked'
@@ -24,6 +24,18 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo '== query-layer smoke: every --source answers a 2-line workload'
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
+
+# wait_ready ERR_FILE SOCKET: wait up to 10 s for the daemon's
+# "# ready: listening on SOCKET" stderr line. `skycube serve` prints it
+# only after bind has returned; the socket file itself appears at bind(2),
+# before listen(2), and a connect in between is refused.
+wait_ready() {
+    for _ in $(seq 100); do
+        if grep -qF "# ready: listening on $2 " "$1"; then return 0; fi
+        sleep 0.1
+    done
+    return 1
+}
 ./target/release/skycube generate --dist independent --count 300 --dims 4 \
     --seed 5 --out "$SMOKE_DIR/data.csv"
 printf 'skyline ABD\ntop 3\n' > "$SMOKE_DIR/workload.txt"
@@ -185,13 +197,8 @@ echo 'quit' >> "$SMOKE_DIR/verbs-quit.txt"
     --socket "$SMOKE_DIR/daemon.sock" < /dev/null \
     2> "$SMOKE_DIR/daemon.err" &
 DAEMON_PID=$!
-ok=0
-for _ in $(seq 100); do
-    if [ -S "$SMOKE_DIR/daemon.sock" ]; then ok=1; break; fi
-    sleep 0.1
-done
-if [ "$ok" -ne 1 ]; then
-    echo "daemon smoke: socket never appeared" >&2
+if ! wait_ready "$SMOKE_DIR/daemon.err" "$SMOKE_DIR/daemon.sock"; then
+    echo "daemon smoke: socket never became ready" >&2
     exit 1
 fi
 ./target/release/skycube connect --socket "$SMOKE_DIR/daemon.sock" \
@@ -229,12 +236,7 @@ echo '== durability smoke: kill -9 mid-mutation-stream, restart replays the wal'
     --inject-faults kill-mid-mutation=3 < /dev/null \
     2> "$SMOKE_DIR/crash.err" &
 CRASH_PID=$!
-ok=0
-for _ in $(seq 100); do
-    if [ -S "$SMOKE_DIR/crash.sock" ]; then ok=1; break; fi
-    sleep 0.1
-done
-if [ "$ok" -ne 1 ]; then
+if ! wait_ready "$SMOKE_DIR/crash.err" "$SMOKE_DIR/crash.sock"; then
     echo "durability smoke: crash daemon never bound its socket" >&2
     exit 1
 fi
@@ -247,12 +249,7 @@ rm -f "$SMOKE_DIR/crash.sock"
     --wal "$SMOKE_DIR/daemon.wal" --socket "$SMOKE_DIR/crash.sock" \
     < /dev/null 2> "$SMOKE_DIR/recover.err" &
 RECOVER_PID=$!
-ok=0
-for _ in $(seq 100); do
-    if [ -S "$SMOKE_DIR/crash.sock" ]; then ok=1; break; fi
-    sleep 0.1
-done
-if [ "$ok" -ne 1 ]; then
+if ! wait_ready "$SMOKE_DIR/recover.err" "$SMOKE_DIR/crash.sock"; then
     echo "durability smoke: recovered daemon never bound its socket" >&2
     exit 1
 fi
@@ -277,13 +274,9 @@ echo '== tcp smoke: the tcp listener answers identically to the unix socket'
     --socket "$SMOKE_DIR/tcp.sock" --listen 127.0.0.1:0 < /dev/null \
     2> "$SMOKE_DIR/tcp.err" &
 TCP_PID=$!
-ok=0
-for _ in $(seq 100); do
-    if grep -q 'listening on tcp' "$SMOKE_DIR/tcp.err" \
-        && [ -S "$SMOKE_DIR/tcp.sock" ]; then ok=1; break; fi
-    sleep 0.1
-done
-if [ "$ok" -ne 1 ]; then
+# The tcp listener is bound and reported before the unix one.
+if ! wait_ready "$SMOKE_DIR/tcp.err" "$SMOKE_DIR/tcp.sock" \
+    || ! grep -q 'listening on tcp' "$SMOKE_DIR/tcp.err"; then
     echo "tcp smoke: daemon never reported both listeners ready" >&2
     exit 1
 fi
@@ -314,12 +307,7 @@ echo 'shutdown' >> "$SMOKE_DIR/drain.txt"
     --socket "$SMOKE_DIR/drain.sock" < /dev/null \
     2> "$SMOKE_DIR/drain.err" &
 DRAIN_PID=$!
-ok=0
-for _ in $(seq 100); do
-    if [ -S "$SMOKE_DIR/drain.sock" ]; then ok=1; break; fi
-    sleep 0.1
-done
-if [ "$ok" -ne 1 ]; then
+if ! wait_ready "$SMOKE_DIR/drain.err" "$SMOKE_DIR/drain.sock"; then
     echo "drain smoke: daemon never bound its socket" >&2
     exit 1
 fi

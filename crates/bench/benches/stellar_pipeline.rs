@@ -1,16 +1,13 @@
-//! Criterion micro-benchmarks of the Stellar pipeline stages and the
-//! ablations called out in DESIGN.md:
+//! Criterion micro-benchmarks of the Stellar pipeline stages:
 //!
 //! - seed-lattice construction (steps 2–4) in isolation;
-//! - the relevance *index* vs the paper's non-seed *scan* (step 5);
-//! - end-to-end Stellar vs Skyey at a fixed moderate scale.
+//! - end-to-end Stellar vs Skyey at a fixed moderate scale;
+//! - single-mutation maintenance, fast path and recompute.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use skycube_datagen::{generate, nba_table_sized, Distribution};
+use skycube_datagen::{generate, Distribution};
 use skycube_skyline::skyline;
-use skycube_stellar::{
-    extend_to_full, maximal_cgroups, seed_skyline_groups, RelevanceStrategy, SeedView, Stellar,
-};
+use skycube_stellar::{maximal_cgroups, seed_skyline_groups, SeedView, Stellar};
 
 fn bench_seed_lattice_stages(c: &mut Criterion) {
     let mut group = c.benchmark_group("seed_lattice");
@@ -29,28 +26,6 @@ fn bench_seed_lattice_stages(c: &mut Criterion) {
             &view,
             |b, view| b.iter(|| seed_skyline_groups(view)),
         );
-    }
-    group.finish();
-}
-
-fn bench_extension_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("extension_ablation");
-    group.sample_size(10);
-    // The NBA-like table exercises the index hardest: many dimensions, a
-    // large non-seed population, few relevant sharers per group.
-    let nba = nba_table_sized(17_265, 17).prefix_dims(10).unwrap();
-    let corr = generate(Distribution::Correlated, 50_000, 8, 19);
-    for (name, ds) in [("nba10d", &nba), ("corr8d", &corr)] {
-        let seeds = skyline(ds, ds.full_space());
-        let view = SeedView::new(ds, seeds);
-        let sgs = seed_skyline_groups(&view);
-        for strategy in [RelevanceStrategy::Index, RelevanceStrategy::Scan] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{strategy:?}").to_lowercase(), name),
-                &(&view, &sgs),
-                |b, (view, sgs)| b.iter(|| extend_to_full(view, sgs, strategy)),
-            );
-        }
     }
     group.finish();
 }
@@ -103,7 +78,6 @@ fn bench_maintenance(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_seed_lattice_stages,
-    bench_extension_ablation,
     bench_end_to_end,
     bench_maintenance
 );

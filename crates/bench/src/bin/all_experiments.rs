@@ -1,6 +1,6 @@
 //! Run the entire evaluation suite (Figures 8–12) and print an
 //! `EXPERIMENTS.md`-ready report. `--json PATH` additionally writes every
-//! measurement — including the kernel ablation — machine-readably.
+//! measurement — including the ablations — machine-readably.
 use skycube_bench::{figures, write_json_report, HarnessArgs};
 
 fn main() {
@@ -13,7 +13,6 @@ fn main() {
     records.extend(figures::fig11(&args));
     records.extend(figures::fig12(&args));
     records.extend(figures::threads_ablation(&args));
-    records.extend(figures::kernels_ablation(&args));
     records.extend(figures::queries_ablation(&args));
     records.extend(figures::maintenance_ablation(&args));
     records.extend(figures::sharded_ablation(&args));

@@ -348,111 +348,6 @@ pub fn threads_ablation(args: &HarnessArgs) -> Vec<JsonRecord> {
     records
 }
 
-/// Kernel ablation — the acceptance workloads of the columnar substrate:
-/// (a) the full-space skyline of an anti-correlated 500k-tuple set, and
-/// (b) Stellar seed-lattice construction (seeds → mask rows → seed groups)
-/// on an anti-correlated set with a large seed population, each timed under
-/// the scalar and the columnar dominance kernels. Both workloads must
-/// produce identical outputs under either kernel (asserted, not optional).
-pub fn kernels_ablation(args: &HarnessArgs) -> Vec<JsonRecord> {
-    use skycube_skyline::{skyline_sfs_kernel, SortKey};
-    use skycube_stellar::{seed_skyline_groups, SeedView};
-    use skycube_types::DominanceKernel;
-
-    let mut records = Vec::new();
-    header(
-        "Kernel ablation — scalar vs columnar dominance kernels",
-        args.full,
-    );
-
-    // (a) Full-space skyline, anti-correlated, n = 500k.
-    let (n, d) = (500_000, 4);
-    let ds = generate(Distribution::AntiCorrelated, n, d, SEED ^ 0xC0);
-    println!("### (a) full-space skyline (SFS), anti-correlated {d}-d, {n} tuples");
-    table_header(&["kernel", "seconds", "skyline size"]);
-    let mut timings = Vec::new();
-    let mut sizes = Vec::new();
-    for kernel in DominanceKernel::ALL {
-        let t = std::time::Instant::now();
-        let sky = skyline_sfs_kernel(&ds, ds.full_space(), SortKey::Sum, kernel);
-        let seconds = t.elapsed().as_secs_f64();
-        row(&[
-            kernel.name().to_string(),
-            secs(seconds),
-            sky.len().to_string(),
-        ]);
-        records.push(
-            JsonRecord::new()
-                .str("figure", "kernels")
-                .str("workload", "skyline-anticorrelated-500k")
-                .str("kernel", kernel.name())
-                .int("n", n as i64)
-                .int("d", d as i64)
-                .num("seconds", seconds)
-                .int("skyline_size", sky.len() as i64),
-        );
-        timings.push(seconds);
-        sizes.push(sky.len());
-    }
-    assert_eq!(sizes[0], sizes[1], "kernels disagreed on the skyline");
-    let sky_speedup = timings[0] / timings[1].max(1e-9);
-    println!();
-    println!("scalar/columnar: {sky_speedup:.2}×");
-    println!();
-
-    // (b) Stellar seed lattice: full-space skyline + mask rows + seed
-    // groups, on a workload with a big enough seed set for the row sweeps
-    // to dominate.
-    let (n, d) = if args.full { (100_000, 5) } else { (50_000, 5) };
-    let ds = generate(Distribution::AntiCorrelated, n, d, SEED ^ 0xC1);
-    println!("### (b) Stellar seed-lattice construction, anti-correlated {d}-d, {n} tuples");
-    table_header(&["kernel", "seconds", "seeds", "seed groups"]);
-    let mut timings = Vec::new();
-    let mut shapes = Vec::new();
-    for kernel in DominanceKernel::ALL {
-        let t = std::time::Instant::now();
-        let seeds = skyline_sfs_kernel(&ds, ds.full_space(), SortKey::Sum, kernel);
-        let view = SeedView::with_kernel(&ds, seeds, kernel);
-        let groups = seed_skyline_groups(&view);
-        let seconds = t.elapsed().as_secs_f64();
-        row(&[
-            kernel.name().to_string(),
-            secs(seconds),
-            view.len().to_string(),
-            groups.len().to_string(),
-        ]);
-        records.push(
-            JsonRecord::new()
-                .str("figure", "kernels")
-                .str("workload", "stellar-seed-lattice")
-                .str("kernel", kernel.name())
-                .int("n", n as i64)
-                .int("d", d as i64)
-                .num("seconds", seconds)
-                .int("seeds", view.len() as i64)
-                .int("seed_groups", groups.len() as i64),
-        );
-        timings.push(seconds);
-        shapes.push((view.len(), groups.len()));
-    }
-    assert_eq!(
-        shapes[0], shapes[1],
-        "kernels disagreed on the seed lattice"
-    );
-    let lattice_speedup = timings[0] / timings[1].max(1e-9);
-    println!();
-    println!("scalar/columnar: {lattice_speedup:.2}×");
-    println!();
-    records.push(
-        JsonRecord::new()
-            .str("figure", "kernels")
-            .str("workload", "summary")
-            .num("skyline_scalar_over_columnar", sky_speedup)
-            .num("seed_lattice_scalar_over_columnar", lattice_speedup),
-    );
-    records
-}
-
 /// Query-layer ablation — the serving-path acceptance workloads:
 /// (a) the **all-subspaces sweep** (every non-empty subspace skyline of an
 /// independent 6-d set, the Figure 10 query grid) answered by the scan

@@ -28,9 +28,9 @@ use crate::source::{
     ScanCubeSource, SkylineSource,
 };
 use skycube_parallel::{par_map_indexed, Parallelism};
-use skycube_skyline::Algorithm;
+use skycube_skyline::skyline;
 use skycube_stellar::{MaintenanceDelta, MaintenanceStats, Stellar, StellarEngine};
-use skycube_types::{Dataset, DimMask, DominanceKernel, ObjId, Value};
+use skycube_types::{Dataset, DimMask, ObjId, Value};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -374,16 +374,13 @@ struct MergeScratch {
 /// A [`SkylineSource`] that answers `skyline A` by merging the K per-shard
 /// subspace skylines of a [`ShardedCube`]: collect each shard's (cached)
 /// local skyline, lift local ids to global ids, and run one skyline pass
-/// over the candidate union with the configured algorithm and dominance
-/// kernel. `member` takes a shard-local fast path before the global check;
+/// over the candidate union with the default algorithm (SFS). `member` takes a shard-local fast path before the global check;
 /// `count`/`top` aggregate across shards. Exact by the union invariant
 /// (see the module docs).
 pub struct ShardedSource<'a> {
     cube: &'a ShardedCube,
     serves: Vec<ShardServe<'a>>,
     indexed: bool,
-    algorithm: Algorithm,
-    kernel: DominanceKernel,
     scratch_pool: Mutex<Vec<MergeScratch>>,
 }
 
@@ -402,22 +399,8 @@ impl<'a> ShardedSource<'a> {
             cube,
             serves,
             indexed,
-            algorithm: Algorithm::default(),
-            kernel: DominanceKernel::default(),
             scratch_pool: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Choose the dominance kernel for the cross-shard candidate merge.
-    pub fn with_kernel(mut self, kernel: DominanceKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Choose the skyline algorithm for the cross-shard candidate merge.
-    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
-        self
     }
 
     /// Shard `k`'s skyline of `space` in *local* ids, through the shard's
@@ -475,8 +458,7 @@ impl<'a> ShardedSource<'a> {
         } else {
             let cand = Dataset::from_flat(dims, values)
                 .map_err(|e| ServeError::Internal(format!("candidate union: {e}")))?;
-            self.algorithm
-                .run_with(&cand, space, self.kernel)
+            skyline(&cand, space)
                 .into_iter()
                 .map(|i| scratch.globals[i as usize])
                 .collect()

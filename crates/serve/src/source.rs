@@ -3,12 +3,12 @@
 use crate::cache::CacheStats;
 use crate::error::ServeError;
 use skycube_skyey::SkyCube;
-use skycube_skyline::{k_skyband, Algorithm};
+use skycube_skyline::{k_skyband, skyline};
 use skycube_stellar::{
     CompressedSkylineCube, CubeIndex, IndexScratch, MemoOutcome, MergeRoute, QueryBudget,
 };
 use skycube_subsky::{AnchoredSubskyIndex, SubskyIndex};
-use skycube_types::{Dataset, DimMask, DominanceKernel, ObjId};
+use skycube_types::{Dataset, DimMask, ObjId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -503,17 +503,10 @@ pub struct SubskySource<'a> {
 }
 
 impl<'a> SubskySource<'a> {
-    /// Build the sorted index over `ds` with the default kernel.
+    /// Build the sorted index over `ds`.
     pub fn new(ds: &'a Dataset) -> Self {
         SubskySource {
             index: SubskyIndex::build(ds),
-        }
-    }
-
-    /// Build with an explicit dominance kernel for the query-time scans.
-    pub fn with_kernel(ds: &'a Dataset, kernel: DominanceKernel) -> Self {
-        SubskySource {
-            index: SubskyIndex::build_with(ds, kernel),
         }
     }
 }
@@ -654,34 +647,16 @@ impl SkylineSource for AnchoredSubskySource<'_> {
 // Direct computation
 // ---------------------------------------------------------------------
 
-/// The no-precomputation fallback: every query runs a skyline algorithm
-/// straight on the dataset.
+/// The no-precomputation fallback: every query runs the default skyline
+/// algorithm (SFS) straight on the dataset.
 pub struct DirectSource<'a> {
     ds: &'a Dataset,
-    algorithm: Algorithm,
-    kernel: DominanceKernel,
 }
 
 impl<'a> DirectSource<'a> {
-    /// Answer directly from `ds` with the default algorithm and kernel.
+    /// Answer directly from `ds`.
     pub fn new(ds: &'a Dataset) -> Self {
-        DirectSource {
-            ds,
-            algorithm: Algorithm::default(),
-            kernel: DominanceKernel::default(),
-        }
-    }
-
-    /// Choose the dominance kernel for the per-query skyline runs.
-    pub fn with_kernel(mut self, kernel: DominanceKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Choose the skyline algorithm.
-    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
-        self
+        DirectSource { ds }
     }
 }
 
@@ -700,7 +675,7 @@ impl SkylineSource for DirectSource<'_> {
 
     fn subspace_skyline(&self, space: DimMask) -> Result<Vec<ObjId>, ServeError> {
         check_space(space, self.dims())?;
-        Ok(self.algorithm.run_with(self.ds, space, self.kernel))
+        Ok(skyline(self.ds, space))
     }
 
     fn skyband(&self, k: usize, space: DimMask) -> Result<Vec<ObjId>, ServeError> {
@@ -730,7 +705,7 @@ impl SkylineSource for DirectSource<'_> {
     fn top_k_frequent(&self, k: usize) -> Vec<(ObjId, u64)> {
         let mut freq = vec![0u64; self.num_objects()];
         for s in DimMask::full(self.dims()).subsets() {
-            for o in self.algorithm.run_with(self.ds, s, self.kernel) {
+            for o in skyline(self.ds, s) {
                 freq[o as usize] += 1;
             }
         }

@@ -13,8 +13,8 @@
 //! suffices.
 
 use skycube_parallel::{par_map_indexed, Parallelism};
-use skycube_skyline::filter_presorted_with;
-use skycube_types::{ColumnView, Dataset, DimMask, DominanceKernel, ObjId};
+use skycube_skyline::filter_presorted;
+use skycube_types::{ColumnView, Dataset, DimMask, ObjId};
 
 /// Visit every non-empty subspace of `ds` with its skyline (skyline ids are
 /// in lexicographic scan order, not ascending id order).
@@ -22,41 +22,20 @@ use skycube_types::{ColumnView, Dataset, DimMask, DominanceKernel, ObjId};
 /// Subspaces are visited in set-enumeration (DFS) order; the closure also
 /// receives the depth-shared sorted order's skyline output only — callers
 /// needing ascending ids should sort.
-pub fn for_each_subspace_skyline<F: FnMut(DimMask, &[ObjId])>(ds: &Dataset, f: F) {
-    for_each_subspace_skyline_with(ds, DominanceKernel::default(), f);
-}
-
-/// [`for_each_subspace_skyline`] with an explicit dominance kernel.
 ///
-/// Under the columnar kernel a single [`ColumnView::with_rank_orders`] per
-/// computation provides each top-level branch's starting order (the
-/// dimension's argsort, no per-branch sort) and dense ranks for the
-/// tie refinements, and every per-node SFS pass sweeps a column-wise
-/// window. The visitation sequence — subspaces and per-subspace skyline
-/// scan orders — is identical to the scalar kernel's: both order objects by
-/// `(value, id)` per dimension, and rank-keyed tie sorts compare exactly
-/// like value-keyed ones.
-pub fn for_each_subspace_skyline_with<F: FnMut(DimMask, &[ObjId])>(
-    ds: &Dataset,
-    kernel: DominanceKernel,
-    mut f: F,
-) {
+/// A single [`ColumnView::with_rank_orders`] per computation provides each
+/// top-level branch's starting order (the dimension's argsort, no
+/// per-branch sort) and dense ranks for the tie refinements, and every
+/// per-node SFS pass sweeps a column-wise window.
+pub fn for_each_subspace_skyline<F: FnMut(DimMask, &[ObjId])>(ds: &Dataset, mut f: F) {
     let n = ds.dims();
     if ds.is_empty() || n == 0 {
         return;
     }
-    let view = branch_view(ds, kernel);
+    let view = ColumnView::with_rank_orders(ds);
     for d in 0..n {
-        for_each_subspace_skyline_from(ds, view.as_ref(), d, &mut f);
+        for_each_subspace_skyline_from(ds, &view, d, &mut f);
     }
-}
-
-/// The per-computation columnar state shared by every DFS branch (`None`
-/// under the scalar kernel): full-dataset columns plus one argsort and one
-/// dense rank array per dimension.
-pub(crate) fn branch_view(ds: &Dataset, kernel: DominanceKernel) -> Option<ColumnView> {
-    (kernel.is_columnar() && !ds.is_empty() && ds.dims() > 0)
-        .then(|| ColumnView::with_rank_orders(ds))
 }
 
 /// One top-level branch of the set-enumeration DFS: visit every subspace
@@ -66,19 +45,12 @@ pub(crate) fn branch_view(ds: &Dataset, kernel: DominanceKernel) -> Option<Colum
 /// read-only).
 pub(crate) fn for_each_subspace_skyline_from<F: FnMut(DimMask, &[ObjId])>(
     ds: &Dataset,
-    view: Option<&ColumnView>,
+    view: &ColumnView,
     d: usize,
     f: &mut F,
 ) {
     // Order for the single-dimension subspace {d}: ascending (value, id).
-    let order: Vec<ObjId> = match view {
-        Some(v) => v.order(d).to_vec(),
-        None => {
-            let mut order: Vec<ObjId> = ds.ids().collect();
-            order.sort_unstable_by_key(|&o| (ds.value(o, d), o));
-            order
-        }
-    };
+    let order = view.order(d).to_vec();
     let mut skyline_buf: Vec<ObjId> = Vec::new();
     recurse(ds, view, DimMask::single(d), d, &order, &mut skyline_buf, f);
 }
@@ -90,27 +62,18 @@ pub(crate) fn for_each_subspace_skyline_from<F: FnMut(DimMask, &[ObjId])>(
 /// The pair sequence is the exact DFS visitation order of
 /// [`for_each_subspace_skyline`]: branch `d`'s subtree is self-contained
 /// (own sorted order, own tie-refinement state) and subtree outputs are
-/// concatenated in branch order. With one thread the branches run inline,
+/// concatenated in branch order. The shared rank view is built once and
+/// read by every branch thread. With one thread the branches run inline,
 /// sequentially.
 pub fn subspace_skylines_par(ds: &Dataset, par: Parallelism) -> Vec<(DimMask, Vec<ObjId>)> {
-    subspace_skylines_par_with(ds, par, DominanceKernel::default())
-}
-
-/// [`subspace_skylines_par`] with an explicit dominance kernel. The shared
-/// columnar view is built once and read by every branch thread.
-pub fn subspace_skylines_par_with(
-    ds: &Dataset,
-    par: Parallelism,
-    kernel: DominanceKernel,
-) -> Vec<(DimMask, Vec<ObjId>)> {
     let n = ds.dims();
     if ds.is_empty() || n == 0 {
         return Vec::new();
     }
-    let view = branch_view(ds, kernel);
+    let view = ColumnView::with_rank_orders(ds);
     par_map_indexed(par, n, |d| {
         let mut out: Vec<(DimMask, Vec<ObjId>)> = Vec::new();
-        for_each_subspace_skyline_from(ds, view.as_ref(), d, &mut |space, sky| {
+        for_each_subspace_skyline_from(ds, &view, d, &mut |space, sky| {
             out.push((space, sky.to_vec()));
         });
         out
@@ -122,7 +85,7 @@ pub fn subspace_skylines_par_with(
 
 fn recurse<F: FnMut(DimMask, &[ObjId])>(
     ds: &Dataset,
-    view: Option<&ColumnView>,
+    view: &ColumnView,
     space: DimMask,
     last_dim: usize,
     order: &[ObjId],
@@ -130,11 +93,7 @@ fn recurse<F: FnMut(DimMask, &[ObjId])>(
     f: &mut F,
 ) {
     // Skyline of this subspace from the presorted order.
-    let kernel = match view {
-        Some(_) => DominanceKernel::Columnar,
-        None => DominanceKernel::Scalar,
-    };
-    *skyline_buf = filter_presorted_with(ds, space, order, kernel);
+    *skyline_buf = filter_presorted(ds, space, order);
     f(space, skyline_buf);
 
     // Extend by every later dimension, refining tie blocks only.
@@ -148,16 +107,10 @@ fn recurse<F: FnMut(DimMask, &[ObjId])>(
 
 /// Stable tie refinement: within each run of equal projections over `space`,
 /// sort by dimension `d`. Afterwards `order` is lexicographic for
-/// `space ∪ {d}`. Under the columnar kernel the sort key is the dimension's
-/// dense rank — a `u32` lookup that compares exactly like the `i64` value,
-/// so both kernels produce the same permutation.
-fn refine_ties(
-    ds: &Dataset,
-    view: Option<&ColumnView>,
-    space: DimMask,
-    d: usize,
-    order: &mut [ObjId],
-) {
+/// `space ∪ {d}`. The sort key is the dimension's dense rank — a `u32`
+/// lookup that compares exactly like the `i64` value.
+fn refine_ties(ds: &Dataset, view: &ColumnView, space: DimMask, d: usize, order: &mut [ObjId]) {
+    let rank = view.rank(d);
     let mut start = 0;
     while start < order.len() {
         let mut end = start + 1;
@@ -167,13 +120,7 @@ fn refine_ties(
             end += 1;
         }
         if end - start > 1 {
-            match view {
-                Some(v) => {
-                    let rank = v.rank(d);
-                    order[start..end].sort_unstable_by_key(|&o| rank[o as usize]);
-                }
-                None => order[start..end].sort_unstable_by_key(|&o| ds.value(o, d)),
-            }
+            order[start..end].sort_unstable_by_key(|&o| rank[o as usize]);
         }
         start = end;
     }
@@ -245,30 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn kernels_visit_identical_sequences() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(23);
-        for trial in 0..10 {
-            let dims = rng.gen_range(1..=5);
-            let n = rng.gen_range(1..=60);
-            let rows: Vec<Vec<i64>> = (0..n)
-                .map(|_| (0..dims).map(|_| rng.gen_range(0..4)).collect())
-                .collect();
-            let ds = Dataset::from_rows(dims, rows).unwrap();
-            let mut scalar: Vec<(DimMask, Vec<ObjId>)> = Vec::new();
-            for_each_subspace_skyline_with(&ds, DominanceKernel::Scalar, |space, sky| {
-                scalar.push((space, sky.to_vec()));
-            });
-            let mut columnar: Vec<(DimMask, Vec<ObjId>)> = Vec::new();
-            for_each_subspace_skyline_with(&ds, DominanceKernel::Columnar, |space, sky| {
-                columnar.push((space, sky.to_vec()));
-            });
-            assert_eq!(scalar, columnar, "trial {trial}");
-        }
-    }
-
-    #[test]
     fn empty_dataset_visits_nothing() {
         let ds = Dataset::from_rows(3, vec![]).unwrap();
         let mut count = 0;
@@ -283,7 +206,7 @@ mod tests {
         let mut order: Vec<ObjId> = ds.ids().collect();
         let b = DimMask::single(1);
         order.sort_unstable_by_key(|&o| ds.value(o, 1));
-        refine_ties(&ds, None, b, 3, &mut order);
+        refine_ties(&ds, &ColumnView::with_rank_orders(&ds), b, 3, &mut order);
         for w in order.windows(2) {
             assert_ne!(
                 ds.cmp_lex(w[0], w[1], b.with(3)),

@@ -11,9 +11,9 @@
 //! maximal subspace `B` (see the proof sketch in the module tests), and the
 //! minimal collected subspaces are precisely the decisive subspaces.
 
-use crate::dfs::{branch_view, for_each_subspace_skyline_from, for_each_subspace_skyline_with};
+use crate::dfs::{for_each_subspace_skyline, for_each_subspace_skyline_from};
 use skycube_parallel::{par_map_indexed, Parallelism};
-use skycube_types::{Dataset, DimMask, DominanceKernel, ObjId, SkylineGroup, Value};
+use skycube_types::{ColumnView, Dataset, DimMask, ObjId, SkylineGroup, Value};
 use std::collections::HashMap;
 
 /// member set (sorted ids) → subspaces where the set is an exclusive
@@ -24,16 +24,9 @@ type Occurrences = HashMap<Vec<ObjId>, Vec<DimMask>>;
 /// every subspace (the Skyey algorithm). Output is unnormalized order;
 /// groups themselves are normalized.
 pub fn skyey_groups(ds: &Dataset) -> Vec<SkylineGroup> {
-    skyey_groups_with(ds, DominanceKernel::default())
-}
-
-/// [`skyey_groups`] with an explicit dominance kernel for the subspace
-/// skyline passes. Both kernels visit identical skyline sequences, so the
-/// group set is identical either way.
-pub fn skyey_groups_with(ds: &Dataset, kernel: DominanceKernel) -> Vec<SkylineGroup> {
     let mut occurrences: Occurrences = HashMap::new();
     let mut buckets: HashMap<Vec<Value>, Vec<ObjId>> = HashMap::new();
-    for_each_subspace_skyline_with(ds, kernel, |space, sky| {
+    for_each_subspace_skyline(ds, |space, sky| {
         record_occurrences(ds, space, sky, &mut buckets, &mut occurrences);
     });
     assemble(occurrences)
@@ -48,28 +41,18 @@ pub fn skyey_groups_with(ds: &Dataset, kernel: DominanceKernel) -> Vec<SkylineGr
 /// compare with `normalize_groups`. With one thread this *is* the
 /// sequential path.
 pub fn skyey_groups_par(ds: &Dataset, par: Parallelism) -> Vec<SkylineGroup> {
-    skyey_groups_par_with(ds, par, DominanceKernel::default())
-}
-
-/// [`skyey_groups_par`] with an explicit dominance kernel. The shared
-/// columnar view is built once and read by every branch thread.
-pub fn skyey_groups_par_with(
-    ds: &Dataset,
-    par: Parallelism,
-    kernel: DominanceKernel,
-) -> Vec<SkylineGroup> {
     if par.is_sequential() {
-        return skyey_groups_with(ds, kernel);
+        return skyey_groups(ds);
     }
     let n = ds.dims();
     if ds.is_empty() || n == 0 {
         return Vec::new();
     }
-    let view = branch_view(ds, kernel);
+    let view = ColumnView::with_rank_orders(ds);
     let per_branch: Vec<Occurrences> = par_map_indexed(par, n, |d| {
         let mut occurrences: Occurrences = HashMap::new();
         let mut buckets: HashMap<Vec<Value>, Vec<ObjId>> = HashMap::new();
-        for_each_subspace_skyline_from(ds, view.as_ref(), d, &mut |space, sky| {
+        for_each_subspace_skyline_from(ds, &view, d, &mut |space, sky| {
             record_occurrences(ds, space, sky, &mut buckets, &mut occurrences);
         });
         occurrences
@@ -200,24 +183,6 @@ mod tests {
     fn group_count_matches_groups_len() {
         let ds = running_example();
         assert_eq!(skyey_group_count(&ds), skyey_groups(&ds).len());
-    }
-
-    #[test]
-    fn kernels_produce_identical_groups() {
-        let ds = running_example();
-        let scalar = normalize_groups(skyey_groups_with(&ds, DominanceKernel::Scalar));
-        let columnar = normalize_groups(skyey_groups_with(&ds, DominanceKernel::Columnar));
-        assert_eq!(scalar, columnar);
-        for threads in [1, 2, 4] {
-            let par = Parallelism::new(threads);
-            for kernel in DominanceKernel::ALL {
-                assert_eq!(
-                    normalize_groups(skyey_groups_par_with(&ds, par, kernel)),
-                    scalar,
-                    "threads {threads} kernel {kernel}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -24,17 +24,11 @@ mod groups;
 mod skycube;
 mod tds;
 
-pub use dfs::{
-    for_each_subspace_skyline, for_each_subspace_skyline_with, subspace_skylines_par,
-    subspace_skylines_par_with,
-};
-pub use groups::{
-    skyey_group_count, skyey_groups, skyey_groups_par, skyey_groups_par_with, skyey_groups_with,
-};
+pub use dfs::{for_each_subspace_skyline, subspace_skylines_par};
+pub use groups::{skyey_group_count, skyey_groups, skyey_groups_par};
 pub use skycube::{
     skycube_sizes_by_dimensionality, skycube_sizes_by_dimensionality_par, skycube_total_size,
     skycube_total_size_par, SkyCube,
 };
 pub use skycube_parallel::Parallelism;
-pub use skycube_types::DominanceKernel;
 pub use tds::{tds_for_each_subspace_skyline, tds_total_size};

@@ -4,11 +4,10 @@
 //! groups.
 
 use crate::dfs::{
-    branch_view, for_each_subspace_skyline_from, for_each_subspace_skyline_with,
-    subspace_skylines_par_with,
+    for_each_subspace_skyline, for_each_subspace_skyline_from, subspace_skylines_par,
 };
 use skycube_parallel::{par_map_indexed, Parallelism};
-use skycube_types::{Dataset, DimMask, DominanceKernel, ObjId};
+use skycube_types::{ColumnView, Dataset, DimMask, ObjId};
 use std::collections::HashMap;
 
 /// All `2^n − 1` subspace skylines, materialized.
@@ -21,14 +20,8 @@ pub struct SkyCube {
 impl SkyCube {
     /// Compute the full skycube of `ds` with the shared-sort DFS.
     pub fn compute(ds: &Dataset) -> Self {
-        SkyCube::compute_with(ds, DominanceKernel::default())
-    }
-
-    /// [`SkyCube::compute`] with an explicit dominance kernel; both kernels
-    /// materialize the identical cube.
-    pub fn compute_with(ds: &Dataset, kernel: DominanceKernel) -> Self {
         let mut skylines = HashMap::with_capacity((1usize << ds.dims()).saturating_sub(1));
-        for_each_subspace_skyline_with(ds, kernel, |space, sky| {
+        for_each_subspace_skyline(ds, |space, sky| {
             let mut s = sky.to_vec();
             s.sort_unstable();
             skylines.insert(space, s);
@@ -43,16 +36,11 @@ impl SkyCube {
     /// across threads. Stores the identical skylines (each sorted
     /// ascending); with one thread this is the sequential computation.
     pub fn compute_par(ds: &Dataset, par: Parallelism) -> Self {
-        SkyCube::compute_par_with(ds, par, DominanceKernel::default())
-    }
-
-    /// [`SkyCube::compute_par`] with an explicit dominance kernel.
-    pub fn compute_par_with(ds: &Dataset, par: Parallelism, kernel: DominanceKernel) -> Self {
         if par.is_sequential() {
-            return SkyCube::compute_with(ds, kernel);
+            return SkyCube::compute(ds);
         }
         let mut skylines = HashMap::with_capacity((1usize << ds.dims()).saturating_sub(1));
-        for (space, mut sky) in subspace_skylines_par_with(ds, par, kernel) {
+        for (space, mut sky) in subspace_skylines_par(ds, par) {
             sky.sort_unstable();
             skylines.insert(space, sky);
         }
@@ -97,7 +85,7 @@ impl SkyCube {
 /// materializing the cube — what the counting experiments need.
 pub fn skycube_total_size(ds: &Dataset) -> u64 {
     let mut total = 0u64;
-    for_each_subspace_skyline_with(ds, DominanceKernel::default(), |_, sky| {
+    for_each_subspace_skyline(ds, |_, sky| {
         total += sky.len() as u64;
     });
     total
@@ -114,10 +102,10 @@ pub fn skycube_total_size_par(ds: &Dataset, par: Parallelism) -> u64 {
     if ds.is_empty() || n == 0 {
         return 0;
     }
-    let view = branch_view(ds, DominanceKernel::default());
+    let view = ColumnView::with_rank_orders(ds);
     par_map_indexed(par, n, |d| {
         let mut total = 0u64;
-        for_each_subspace_skyline_from(ds, view.as_ref(), d, &mut |_, sky| {
+        for_each_subspace_skyline_from(ds, &view, d, &mut |_, sky| {
             total += sky.len() as u64;
         });
         total
@@ -130,7 +118,7 @@ pub fn skycube_total_size_par(ds: &Dataset, par: Parallelism) -> u64 {
 /// the skylines of all `k`-dimensional subspaces.
 pub fn skycube_sizes_by_dimensionality(ds: &Dataset) -> Vec<u64> {
     let mut out = vec![0u64; ds.dims()];
-    for_each_subspace_skyline_with(ds, DominanceKernel::default(), |space, sky| {
+    for_each_subspace_skyline(ds, |space, sky| {
         out[space.len() - 1] += sky.len() as u64;
     });
     out
@@ -147,10 +135,10 @@ pub fn skycube_sizes_by_dimensionality_par(ds: &Dataset, par: Parallelism) -> Ve
     if ds.is_empty() || n == 0 {
         return out;
     }
-    let view = branch_view(ds, DominanceKernel::default());
+    let view = ColumnView::with_rank_orders(ds);
     for branch in par_map_indexed(par, n, |d| {
         let mut hist = vec![0u64; n];
-        for_each_subspace_skyline_from(ds, view.as_ref(), d, &mut |space, sky| {
+        for_each_subspace_skyline_from(ds, &view, d, &mut |space, sky| {
             hist[space.len() - 1] += sky.len() as u64;
         });
         hist

@@ -7,60 +7,40 @@
 //! easily) no temp-file passes are needed and the window at end-of-scan *is*
 //! the skyline.
 
-use skycube_types::{ColumnarWindow, Dataset, DimMask, DomRelation, DominanceKernel, ObjId};
+use skycube_types::{ColumnarWindow, Dataset, DimMask, ObjId};
 
 /// Compute the skyline of `space` with block nested loops.
+///
+/// The window is kept column-wise: each incoming object is classified
+/// against every member with one flags sweep, then admitted or discarded
+/// ([`ColumnarWindow::admit`]).
 ///
 /// Returns ids in ascending order.
 ///
 /// # Panics
 /// Panics if `space` is empty.
 pub fn skyline_bnl(ds: &Dataset, space: DimMask) -> Vec<ObjId> {
-    skyline_bnl_with(ds, space, DominanceKernel::default())
-}
-
-/// [`skyline_bnl`] with an explicit dominance kernel.
-///
-/// The columnar path keeps the BNL window column-wise: each incoming object
-/// is classified against every member with one flags sweep, then admitted or
-/// discarded ([`ColumnarWindow::admit`]). Because window members are
-/// mutually non-dominating, "some member dominates u" and "u evicts some
-/// member" are mutually exclusive, so check-then-evict produces exactly the
-/// scalar window set.
-///
-/// # Panics
-/// Panics if `space` is empty.
-pub fn skyline_bnl_with(ds: &Dataset, space: DimMask, kernel: DominanceKernel) -> Vec<ObjId> {
     assert!(
         !space.is_empty(),
         "skyline of the empty subspace is undefined"
     );
-    if kernel.is_columnar() {
-        let mut window = ColumnarWindow::new(ds.dims());
-        for u in ds.ids() {
-            window.admit(u, ds.row(u), space);
-        }
-        let mut out = window.into_ids();
-        out.sort_unstable();
-        return out;
+    let mut out = bnl_window(ds, space, ds.ids());
+    out.sort_unstable();
+    out
+}
+
+/// The BNL window after scanning `ids` in order: the skyline of `ids` in
+/// `space`, in window order. Shared with the divide-and-conquer leaves.
+pub(crate) fn bnl_window(
+    ds: &Dataset,
+    space: DimMask,
+    ids: impl IntoIterator<Item = ObjId>,
+) -> Vec<ObjId> {
+    let mut window = ColumnarWindow::new(ds.dims());
+    for u in ids {
+        window.admit(u, ds.row(u), space);
     }
-    let mut window: Vec<ObjId> = Vec::new();
-    'scan: for u in ds.ids() {
-        let mut i = 0;
-        while i < window.len() {
-            match ds.compare(window[i], u, space) {
-                DomRelation::Dominates => continue 'scan,
-                DomRelation::DominatedBy => {
-                    window.swap_remove(i);
-                    // Do not advance: the swapped-in element needs a look.
-                }
-                DomRelation::Equal | DomRelation::Incomparable => i += 1,
-            }
-        }
-        window.push(u);
-    }
-    window.sort_unstable();
-    window
+    window.into_ids()
 }
 
 #[cfg(test)]

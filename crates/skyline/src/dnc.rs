@@ -7,7 +7,8 @@
 //! asymptotic improvement for tiny dimensionality; the cross-filter merge is
 //! what performs best at the paper's scales and keeps the code auditable.
 
-use skycube_types::{ColumnarWindow, Dataset, DimMask, DominanceKernel, ObjId};
+use crate::bnl::bnl_window;
+use skycube_types::{ColumnarWindow, Dataset, DimMask, ObjId};
 
 /// Below this size the recursion bottoms out into a BNL pass.
 const LEAF_SIZE: usize = 64;
@@ -29,7 +30,7 @@ pub fn skyline_dnc(ds: &Dataset, space: DimMask) -> Vec<ObjId> {
 
 fn dnc(ds: &Dataset, space: DimMask, ids: &[ObjId]) -> Vec<ObjId> {
     if ids.len() <= LEAF_SIZE {
-        return leaf_bnl(ds, space, ids);
+        return bnl_window(ds, space, ids.iter().copied());
     }
     let mid = ids.len() / 2;
     let left = dnc(ds, space, &ids[..mid]);
@@ -37,61 +38,15 @@ fn dnc(ds: &Dataset, space: DimMask, ids: &[ObjId]) -> Vec<ObjId> {
     merge(ds, space, &left, &right)
 }
 
-/// BNL over an explicit id slice.
-fn leaf_bnl(ds: &Dataset, space: DimMask, ids: &[ObjId]) -> Vec<ObjId> {
-    use skycube_types::DomRelation;
-    let mut window: Vec<ObjId> = Vec::new();
-    'scan: for &u in ids {
-        let mut i = 0;
-        while i < window.len() {
-            match ds.compare(window[i], u, space) {
-                DomRelation::Dominates => continue 'scan,
-                DomRelation::DominatedBy => {
-                    window.swap_remove(i);
-                }
-                _ => i += 1,
-            }
-        }
-        window.push(u);
-    }
-    window
-}
-
 /// Keep the members of each side not dominated by any member of the other.
-/// Members of the same side are already mutually non-dominating.
+/// Members of the same side are already mutually non-dominating. Each side
+/// is loaded into a [`ColumnarWindow`] once, so every "does the other side
+/// dominate me?" probe is a blocked column sweep; survivors keep their
+/// input order.
 ///
 /// Shared with the partitioned parallel skyline, whose per-chunk local
 /// skylines satisfy the same precondition.
 pub(crate) fn merge(ds: &Dataset, space: DimMask, left: &[ObjId], right: &[ObjId]) -> Vec<ObjId> {
-    let mut out: Vec<ObjId> = Vec::with_capacity(left.len() + right.len());
-    out.extend(
-        left.iter()
-            .copied()
-            .filter(|&u| !right.iter().any(|&v| ds.dominates(v, u, space))),
-    );
-    out.extend(
-        right
-            .iter()
-            .copied()
-            .filter(|&u| !left.iter().any(|&v| ds.dominates(v, u, space))),
-    );
-    out
-}
-
-/// [`merge`] with an explicit dominance kernel. The columnar path loads each
-/// side into a [`ColumnarWindow`] once and answers every "does the other
-/// side dominate me?" probe with a blocked column sweep; survivors keep
-/// their input order, exactly like the scalar merge.
-pub(crate) fn merge_with(
-    ds: &Dataset,
-    space: DimMask,
-    left: &[ObjId],
-    right: &[ObjId],
-    kernel: DominanceKernel,
-) -> Vec<ObjId> {
-    if !kernel.is_columnar() {
-        return merge(ds, space, left, right);
-    }
     let mut lw = ColumnarWindow::with_capacity(ds.dims(), left.len());
     for &v in left {
         lw.push(v, ds.row(v));

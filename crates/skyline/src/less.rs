@@ -7,8 +7,8 @@
 //! points before they are ever sorted; the surviving points are then sorted
 //! by a monotone key and finished with the usual skyline-filter pass.
 
-use crate::sfs::{filter_presorted, filter_presorted_with};
-use skycube_types::{ColumnarWindow, Dataset, DimMask, DomRelation, DominanceKernel, ObjId};
+use crate::sfs::filter_presorted;
+use skycube_types::{ColumnarWindow, Dataset, DimMask, ObjId};
 
 /// Capacity of the elimination-filter window. Godfrey et al. observe a small
 /// window (about one memory page) captures nearly all of the benefit.
@@ -16,67 +16,22 @@ const EF_CAPACITY: usize = 16;
 
 /// Compute the skyline of `space` with LESS.
 ///
+/// Pass 0 carries a column-wise EF window of the smallest-sum points seen
+/// so far and discards every point one of them dominates; pass 1 sorts the
+/// survivors by sum (topological for dominance) and finishes with
+/// [`filter_presorted`]. The EF only ever discards dominated points and the
+/// final pass removes every dominated survivor, so the output is the
+/// skyline whatever the EF holds on sum ties.
+///
 /// Returns ids in ascending order.
 ///
 /// # Panics
 /// Panics if `space` is empty.
 pub fn skyline_less(ds: &Dataset, space: DimMask) -> Vec<ObjId> {
-    skyline_less_with(ds, space, DominanceKernel::default())
-}
-
-/// [`skyline_less`] with an explicit dominance kernel.
-///
-/// The columnar path stores the EF window column-wise (sweeping it per probe
-/// instead of chasing rows) and runs the final filter pass through
-/// [`filter_presorted_with`]. EF membership may differ from the scalar path
-/// on sum ties, but the EF only ever discards dominated points and the final
-/// pass removes every dominated survivor, so the output is identical.
-///
-/// # Panics
-/// Panics if `space` is empty.
-pub fn skyline_less_with(ds: &Dataset, space: DimMask, kernel: DominanceKernel) -> Vec<ObjId> {
     assert!(
         !space.is_empty(),
         "skyline of the empty subspace is undefined"
     );
-    if kernel.is_columnar() {
-        return less_columnar(ds, space);
-    }
-
-    // Pass 0: elimination-filter scan. The EF window keeps the points with
-    // the smallest sums seen so far; anything dominated by a window point is
-    // eliminated immediately.
-    let mut ef: Vec<(i128, ObjId)> = Vec::with_capacity(EF_CAPACITY);
-    let mut survivors: Vec<(i128, ObjId)> = Vec::with_capacity(ds.len());
-    'scan: for u in ds.ids() {
-        let key = ds.sum_over(u, space);
-        for &(_, w) in &ef {
-            if ds.compare(w, u, space) == DomRelation::Dominates {
-                continue 'scan;
-            }
-        }
-        survivors.push((key, u));
-        // Maintain the window: insert if it beats the current worst.
-        if ef.len() < EF_CAPACITY {
-            ef.push((key, u));
-            ef.sort_unstable_by_key(|&(k, _)| k);
-        } else if key < ef.last().expect("window non-empty").0 {
-            ef.pop();
-            ef.push((key, u));
-            ef.sort_unstable_by_key(|&(k, _)| k);
-        }
-    }
-
-    // Pass 1: sort survivors by the monotone key (topological for
-    // dominance) and run the skyline-filter pass.
-    survivors.sort_unstable_by_key(|&(k, _)| k);
-    let order: Vec<ObjId> = survivors.into_iter().map(|(_, o)| o).collect();
-    let mut skyline = filter_presorted(ds, space, &order);
-    skyline.sort_unstable();
-    skyline
-}
-
-fn less_columnar(ds: &Dataset, space: DimMask) -> Vec<ObjId> {
     let mut ef = ColumnarWindow::with_capacity(ds.dims(), EF_CAPACITY);
     let mut ef_keys: Vec<i128> = Vec::with_capacity(EF_CAPACITY);
     let mut survivors: Vec<(i128, ObjId)> = Vec::with_capacity(ds.len());
@@ -87,6 +42,7 @@ fn less_columnar(ds: &Dataset, space: DimMask) -> Vec<ObjId> {
             continue;
         }
         survivors.push((key, u));
+        // Maintain the window: admit if it beats the current worst.
         if ef_keys.len() < EF_CAPACITY {
             ef.push(u, row);
             ef_keys.push(key);
@@ -106,7 +62,7 @@ fn less_columnar(ds: &Dataset, space: DimMask) -> Vec<ObjId> {
     }
     survivors.sort_unstable_by_key(|&(k, _)| k);
     let order: Vec<ObjId> = survivors.into_iter().map(|(_, o)| o).collect();
-    let mut skyline = filter_presorted_with(ds, space, &order, DominanceKernel::Columnar);
+    let mut skyline = filter_presorted(ds, space, &order);
     skyline.sort_unstable();
     skyline
 }

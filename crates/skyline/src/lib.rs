@@ -38,22 +38,18 @@ mod skyband;
 
 pub use bbs::{skyline_bbs, skyline_bbs_indexed};
 pub use bitmap::{skyline_bitmap, BitSet, BitmapIndex};
-pub use bnl::{skyline_bnl, skyline_bnl_with};
+pub use bnl::skyline_bnl;
 pub use dnc::skyline_dnc;
 pub use kdominant::{k_dominant_skyline, k_dominates};
-pub use less::{skyline_less, skyline_less_with};
+pub use less::skyline_less;
 pub use naive::skyline_naive;
-pub use parallel::{skyline_parallel, skyline_parallel_with};
+pub use parallel::skyline_parallel;
 pub use rtree::{Mbr, Node, RTree, NODE_CAPACITY};
 pub use salsa::{skyline_salsa, skyline_salsa_counting};
-pub use sfs::{
-    filter_presorted, filter_presorted_with, skyline_sfs, skyline_sfs_kernel, skyline_sfs_with,
-    SortKey,
-};
+pub use sfs::{filter_presorted, skyline_sfs, skyline_sfs_with, SortKey};
 pub use skyband::{constrained_skyline, k_skyband, Ranges};
 
 pub use skycube_parallel::Parallelism;
-pub use skycube_types::DominanceKernel;
 use skycube_types::{Dataset, DimMask, ObjId};
 
 /// Algorithm selector for dynamic choice (benchmarks, builder configs).
@@ -90,32 +86,19 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// Run this algorithm on `ds` restricted to `space` with the default
-    /// dominance kernel.
+    /// Run this algorithm on `ds` restricted to `space`.
     pub fn run(self, ds: &Dataset, space: DimMask) -> Vec<ObjId> {
-        self.run_with(ds, space, DominanceKernel::default())
-    }
-
-    /// Run this algorithm with an explicit dominance kernel.
-    ///
-    /// BNL, SFS (both keys), LESS, and the partitioned parallel variant
-    /// route their inner elimination loops through the selected kernel;
-    /// the index-/partition-based algorithms (naive, D&C, BBS, SaLSa,
-    /// bitmap) have no batched inner loop and ignore the knob.
-    pub fn run_with(self, ds: &Dataset, space: DimMask, kernel: DominanceKernel) -> Vec<ObjId> {
         match self {
             Algorithm::Naive => skyline_naive(ds, space),
-            Algorithm::Bnl => skyline_bnl_with(ds, space, kernel),
-            Algorithm::Sfs => skyline_sfs_kernel(ds, space, SortKey::Sum, kernel),
-            Algorithm::SfsLex => skyline_sfs_kernel(ds, space, SortKey::Lex, kernel),
+            Algorithm::Bnl => skyline_bnl(ds, space),
+            Algorithm::Sfs => skyline_sfs_with(ds, space, SortKey::Sum),
+            Algorithm::SfsLex => skyline_sfs_with(ds, space, SortKey::Lex),
             Algorithm::Dnc => skyline_dnc(ds, space),
-            Algorithm::Less => skyline_less_with(ds, space, kernel),
+            Algorithm::Less => skyline_less(ds, space),
             Algorithm::Bbs => skyline_bbs(ds, space),
             Algorithm::Salsa => skyline_salsa(ds, space),
             Algorithm::Bitmap => skyline_bitmap(ds, space),
-            Algorithm::Parallel => {
-                skyline_parallel_with(ds, space, Parallelism::available(), kernel)
-            }
+            Algorithm::Parallel => skyline_parallel(ds, space, Parallelism::available()),
         }
     }
 

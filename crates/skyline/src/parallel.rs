@@ -9,10 +9,10 @@
 //! output is the skyline *set* in canonical order, identical to every
 //! sequential algorithm in this crate regardless of scheduling.
 
-use crate::dnc::merge_with;
-use crate::sfs::{filter_presorted_with, skyline_sfs_kernel, SortKey};
+use crate::dnc::merge;
+use crate::sfs::{filter_presorted, skyline_sfs};
 use skycube_parallel::{chunk_ranges, par_map_indexed, par_map_slice, Parallelism};
-use skycube_types::{Dataset, DimMask, DominanceKernel, ObjId};
+use skycube_types::{Dataset, DimMask, ObjId};
 
 /// Compute the skyline of `space` by partitioned parallel SFS.
 ///
@@ -23,27 +23,13 @@ use skycube_types::{Dataset, DimMask, DominanceKernel, ObjId};
 /// global skyline. Output is ascending ids — identical to
 /// [`crate::skyline`] on the same input.
 ///
+/// Chunk boundaries are contiguous id ranges, so each worker's
+/// presort-and-filter pass and each cross-filter merge sweep contiguous
+/// per-dimension window columns.
+///
 /// # Panics
 /// Panics if `space` is empty.
 pub fn skyline_parallel(ds: &Dataset, space: DimMask, par: Parallelism) -> Vec<ObjId> {
-    skyline_parallel_with(ds, space, par, DominanceKernel::default())
-}
-
-/// [`skyline_parallel`] with an explicit dominance kernel.
-///
-/// Chunk boundaries are contiguous id ranges, so under the columnar kernel
-/// each worker's presort-and-filter pass and each cross-filter merge sweep
-/// contiguous per-dimension columns — the chunking hands every worker its
-/// own cache-local slice of the column layout.
-///
-/// # Panics
-/// Panics if `space` is empty.
-pub fn skyline_parallel_with(
-    ds: &Dataset,
-    space: DimMask,
-    par: Parallelism,
-    kernel: DominanceKernel,
-) -> Vec<ObjId> {
     assert!(
         !space.is_empty(),
         "skyline of the empty subspace is undefined"
@@ -51,7 +37,7 @@ pub fn skyline_parallel_with(
     let n = ds.len();
     let chunks = chunk_ranges(n, par.threads());
     if chunks.len() <= 1 {
-        return skyline_sfs_kernel(ds, space, SortKey::Sum, kernel);
+        return skyline_sfs(ds, space);
     }
 
     // Local skylines per contiguous id chunk, in parallel. Each chunk
@@ -60,7 +46,7 @@ pub fn skyline_parallel_with(
         let mut order: Vec<ObjId> = (range.start as ObjId..range.end as ObjId).collect();
         let sums: Vec<i128> = order.iter().map(|&o| ds.sum_over(o, space)).collect();
         order.sort_unstable_by_key(|&o| sums[(o as usize) - range.start]);
-        filter_presorted_with(ds, space, &order, kernel)
+        filter_presorted(ds, space, &order)
     });
 
     // Pairwise parallel merge: level by level, adjacent survivors are
@@ -69,7 +55,7 @@ pub fn skyline_parallel_with(
     while locals.len() > 1 {
         let pairs = locals.len() / 2;
         let mut next: Vec<Vec<ObjId>> = par_map_indexed(par, pairs, |i| {
-            merge_with(ds, space, &locals[2 * i], &locals[2 * i + 1], kernel)
+            merge(ds, space, &locals[2 * i], &locals[2 * i + 1])
         });
         if locals.len() % 2 == 1 {
             next.push(locals.pop().expect("odd tail present"));

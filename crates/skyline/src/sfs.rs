@@ -11,7 +11,7 @@
 //! - [`SortKey::Lex`]: lexicographic order over the subspace's dimensions —
 //!   the order Skyey shares down its subspace-enumeration tree.
 
-use skycube_types::{ColumnarWindow, Dataset, DimMask, DomRelation, DominanceKernel, ObjId};
+use skycube_types::{ColumnarWindow, Dataset, DimMask, ObjId};
 
 /// Presort key used by [`skyline_sfs_with`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -28,19 +28,6 @@ pub enum SortKey {
 /// # Panics
 /// Panics if `space` is empty.
 pub fn skyline_sfs_with(ds: &Dataset, space: DimMask, key: SortKey) -> Vec<ObjId> {
-    skyline_sfs_kernel(ds, space, key, DominanceKernel::default())
-}
-
-/// [`skyline_sfs_with`] with an explicit dominance kernel.
-///
-/// # Panics
-/// Panics if `space` is empty.
-pub fn skyline_sfs_kernel(
-    ds: &Dataset,
-    space: DimMask,
-    key: SortKey,
-    kernel: DominanceKernel,
-) -> Vec<ObjId> {
     assert!(
         !space.is_empty(),
         "skyline of the empty subspace is undefined"
@@ -55,7 +42,7 @@ pub fn skyline_sfs_kernel(
             order.sort_unstable_by(|&a, &b| ds.cmp_lex(a, b, space));
         }
     }
-    let mut skyline = filter_presorted_with(ds, space, &order, kernel);
+    let mut skyline = filter_presorted(ds, space, &order);
     skyline.sort_unstable();
     skyline
 }
@@ -68,40 +55,12 @@ pub fn skyline_sfs(ds: &Dataset, space: DimMask) -> Vec<ObjId> {
 /// SFS filtering pass over an order that is already topological for
 /// dominance in `space`: no object may be dominated by a later one.
 ///
-/// Shared with the Skyey baseline, which maintains such orders incrementally
-/// down its subspace tree. Returns skyline ids in scan order.
-pub fn filter_presorted(ds: &Dataset, space: DimMask, order: &[ObjId]) -> Vec<ObjId> {
-    let mut window: Vec<ObjId> = Vec::new();
-    'scan: for &u in order {
-        for &w in &window {
-            match ds.compare(w, u, space) {
-                DomRelation::Dominates => continue 'scan,
-                DomRelation::DominatedBy => {
-                    // Violates the topological-order contract.
-                    debug_assert!(false, "presorted order not topological");
-                }
-                DomRelation::Equal | DomRelation::Incomparable => {}
-            }
-        }
-        window.push(u);
-    }
-    window
-}
-
-/// [`filter_presorted`] with an explicit dominance kernel. The columnar
-/// path keeps the confirmed window column-wise so every "does anyone
+/// The confirmed window is kept column-wise, so every "does anyone
 /// dominate me?" probe is a contiguous blocked sweep; nothing is ever
-/// evicted under the topological-order contract, so the window ids in scan
-/// order are exactly the scalar result.
-pub fn filter_presorted_with(
-    ds: &Dataset,
-    space: DimMask,
-    order: &[ObjId],
-    kernel: DominanceKernel,
-) -> Vec<ObjId> {
-    if !kernel.is_columnar() {
-        return filter_presorted(ds, space, order);
-    }
+/// evicted under the topological-order contract. Shared with the Skyey
+/// baseline, which maintains such orders incrementally down its subspace
+/// tree. Returns skyline ids in scan order.
+pub fn filter_presorted(ds: &Dataset, space: DimMask, order: &[ObjId]) -> Vec<ObjId> {
     let mut window = ColumnarWindow::new(ds.dims());
     for &u in order {
         let row = ds.row(u);
@@ -116,32 +75,31 @@ pub fn filter_presorted_with(
 mod tests {
     use super::*;
     use crate::naive::skyline_naive;
-    use skycube_types::{running_example, Dataset};
-    use skycube_types::{DominanceKernel, ObjId};
+    use skycube_types::{running_example, Dataset, ObjId};
 
     #[test]
     fn both_keys_match_oracle_on_running_example() {
         let ds = running_example();
         for space in ds.full_space().subsets() {
             let expect = skyline_naive(&ds, space);
-            for kernel in DominanceKernel::ALL {
-                assert_eq!(skyline_sfs_kernel(&ds, space, SortKey::Sum, kernel), expect);
-                assert_eq!(skyline_sfs_kernel(&ds, space, SortKey::Lex, kernel), expect);
-            }
+            assert_eq!(skyline_sfs_with(&ds, space, SortKey::Sum), expect);
+            assert_eq!(skyline_sfs_with(&ds, space, SortKey::Lex), expect);
         }
     }
 
     #[test]
-    fn filter_presorted_kernels_agree_in_scan_order() {
+    fn filter_presorted_keeps_lex_scan_order() {
         let ds = running_example();
         for space in ds.full_space().subsets() {
             let mut order: Vec<ObjId> = ds.ids().collect();
             order.sort_unstable_by(|&a, &b| ds.cmp_lex(a, b, space));
-            assert_eq!(
-                filter_presorted(&ds, space, &order),
-                filter_presorted_with(&ds, space, &order, DominanceKernel::Columnar),
-                "space {space}"
-            );
+            let expect = skyline_naive(&ds, space);
+            let kept: Vec<ObjId> = order
+                .iter()
+                .copied()
+                .filter(|o| expect.contains(o))
+                .collect();
+            assert_eq!(filter_presorted(&ds, space, &order), kept, "space {space}");
         }
     }
 

@@ -10,112 +10,53 @@
 //! `m_p = {d ∈ B′ : p.d = G′.d}` contains one of the group's decisive
 //! subspaces; all other non-seeds can neither join a derived group (any
 //! derived subspace contains a decisive subspace) nor invalidate a decisive
-//! subspace (an offender coincides on it). Relevant objects are found with a
-//! per-dimension value index instead of a scan of all non-seeds per group —
-//! an engineering addition benchmarked by the `ablation` bench.
+//! subspace (an offender coincides on it). Relevant objects are found by
+//! intersecting per-dimension `value → non-seed ids` posting lists over the
+//! dimensions of each decisive subspace, instead of scanning every non-seed
+//! per group (an engineering addition).
 
 use crate::matrices::SeedView;
 use crate::seeds::SeedGroup;
 use crate::transversal::{minimize_antichain, ClauseSet};
 use skycube_parallel::{par_map_indexed, Parallelism};
-use skycube_types::{ColumnView, DimMask, ObjId, SkylineGroup, Value};
+use skycube_types::{DimMask, ObjId, SkylineGroup, Value};
 use std::collections::HashMap;
 
-/// How candidate relevant non-seeds are located per seed group.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum RelevanceStrategy {
-    /// Per-dimension `value → non-seed ids` posting lists, intersected over
-    /// the dimensions of each decisive subspace (the default).
-    #[default]
-    Index,
-    /// Scan every non-seed object for every seed group (the paper's "scan
-    /// all those non-seed objects once against the seed lattice", kept for
-    /// the ablation benchmark).
-    Scan,
-}
-
 /// Extend the seed lattice to the skyline groups over the whole dataset.
-/// The returned groups use dataset object ids.
-pub fn extend_to_full(
-    view: &SeedView<'_>,
-    seed_groups: &[SeedGroup],
-    strategy: RelevanceStrategy,
-) -> Vec<SkylineGroup> {
-    let ds = view.dataset();
-    let non_seeds = non_seed_ids(view);
-    let index = match strategy {
-        RelevanceStrategy::Index => Some(NonSeedIndex::build(ds, &non_seeds)),
-        RelevanceStrategy::Scan => None,
-    };
-    let non_cols = non_seed_columns(view, strategy, &non_seeds);
-
+/// The returned groups use dataset object ids, in seed-group order.
+pub fn extend_to_full(view: &SeedView<'_>, seed_groups: &[SeedGroup]) -> Vec<SkylineGroup> {
+    let ctx = ExtensionContext::new(view);
     let mut out: Vec<SkylineGroup> = Vec::new();
     let mut scratch = Scratch::default();
     for sg in seed_groups {
-        extend_one(
-            view,
-            sg,
-            &non_seeds,
-            index.as_ref(),
-            non_cols.as_ref(),
-            &mut scratch,
-            &mut out,
-        );
+        ctx.extend_into(view, sg, &mut scratch, &mut out);
     }
     out
 }
 
 /// Parallel [`extend_to_full`]: the per-seed-group accommodation steps are
-/// independent (each reads the shared view/index and writes only its own
-/// derived groups), so they fan out across threads — each worker with its
-/// own scratch buffers — and the per-group outputs are concatenated in
-/// seed-group order, yielding the identical `Vec` as the sequential loop.
-/// With one thread this *is* the sequential loop.
+/// independent (each reads the shared view and posting index and writes
+/// only its own derived groups), so they fan out across threads and the
+/// per-group outputs are concatenated in seed-group order, yielding the
+/// identical `Vec` as the sequential loop. With one thread this *is* the
+/// sequential loop.
 pub fn extend_to_full_par(
     view: &SeedView<'_>,
     seed_groups: &[SeedGroup],
-    strategy: RelevanceStrategy,
     par: Parallelism,
 ) -> Vec<SkylineGroup> {
     if par.is_sequential() {
-        return extend_to_full(view, seed_groups, strategy);
+        return extend_to_full(view, seed_groups);
     }
-    let ds = view.dataset();
-    let non_seeds = non_seed_ids(view);
-    let index = match strategy {
-        RelevanceStrategy::Index => Some(NonSeedIndex::build(ds, &non_seeds)),
-        RelevanceStrategy::Scan => None,
-    };
-    let non_cols = non_seed_columns(view, strategy, &non_seeds);
+    let ctx = ExtensionContext::new(view);
     par_map_indexed(par, seed_groups.len(), |i| {
         let mut out = Vec::new();
-        let mut scratch = Scratch::default();
-        extend_one(
-            view,
-            &seed_groups[i],
-            &non_seeds,
-            index.as_ref(),
-            non_cols.as_ref(),
-            &mut scratch,
-            &mut out,
-        );
+        ctx.extend_group(view, &seed_groups[i], &mut out);
         out
     })
     .into_iter()
     .flatten()
     .collect()
-}
-
-/// Columnar view of the non-seeds, built once per extension when the scan
-/// strategy will sweep all of them per seed group under the columnar
-/// kernel. Position `p` of the view is `non_seeds[p]`.
-fn non_seed_columns(
-    view: &SeedView<'_>,
-    strategy: RelevanceStrategy,
-    non_seeds: &[ObjId],
-) -> Option<ColumnView> {
-    (strategy == RelevanceStrategy::Scan && view.kernel().is_columnar())
-        .then(|| ColumnView::for_ids(view.dataset(), non_seeds))
 }
 
 /// Ids not in the full-space skyline, ascending.
@@ -140,14 +81,18 @@ struct NonSeedIndex {
 }
 
 impl NonSeedIndex {
+    /// Fills one dimension's table at a time, so the table being filled
+    /// stays in cache; `non_seeds` is ascending, so every list is too.
     fn build(ds: &skycube_types::Dataset, non_seeds: &[ObjId]) -> Self {
-        let mut maps: Vec<HashMap<Value, Vec<ObjId>>> = vec![HashMap::new(); ds.dims()];
-        for &p in non_seeds {
-            let row = ds.row(p);
-            for (d, &v) in row.iter().enumerate() {
-                maps[d].entry(v).or_default().push(p);
-            }
-        }
+        let maps = (0..ds.dims())
+            .map(|d| {
+                let mut map: HashMap<Value, Vec<ObjId>> = HashMap::new();
+                for &p in non_seeds {
+                    map.entry(ds.value(p, d)).or_default().push(p);
+                }
+                map
+            })
+            .collect();
         NonSeedIndex { maps }
     }
 
@@ -193,8 +138,8 @@ pub struct ExtensionContext {
 }
 
 impl ExtensionContext {
-    /// Build from the current seed view (the same inputs as
-    /// [`extend_to_full`] with the index strategy).
+    /// Build from the current seed view: the non-seeds and their posting
+    /// index.
     pub fn new(view: &SeedView<'_>) -> Self {
         let non_seeds = non_seed_ids(view);
         let index = NonSeedIndex::build(view.dataset(), &non_seeds);
@@ -270,16 +215,136 @@ impl ExtensionContext {
     /// context, appending the derived groups to `out` in the same order as
     /// [`extend_to_full`] produces them for that group.
     pub fn extend_group(&self, view: &SeedView<'_>, sg: &SeedGroup, out: &mut Vec<SkylineGroup>) {
-        let mut scratch = Scratch::default();
-        extend_one(
-            view,
-            sg,
-            &self.non_seeds,
-            Some(&self.index),
-            None,
-            &mut scratch,
-            out,
-        );
+        self.extend_into(view, sg, &mut Scratch::default(), out);
+    }
+
+    /// [`ExtensionContext::extend_group`] with caller-owned scratch
+    /// buffers, reused across the groups of one extension.
+    fn extend_into(
+        &self,
+        view: &SeedView<'_>,
+        sg: &SeedGroup,
+        s: &mut Scratch,
+        out: &mut Vec<SkylineGroup>,
+    ) {
+        let ds = view.dataset();
+        let rep = view.id(sg.members[0]);
+        let rep_row = ds.row(rep);
+        let seed_ids: Vec<ObjId> = sg.members.iter().map(|&i| view.id(i)).collect();
+
+        // 1. Relevant non-seeds: sharing mask within B′ contains some
+        //    decisive subspace.
+        s.relevant.clear();
+        let mut seen: Vec<ObjId> = Vec::new();
+        for &c in &sg.decisive {
+            self.index.matching(rep_row, c, &mut s.candidates);
+            for &p in &s.candidates {
+                if let Err(at) = seen.binary_search(&p) {
+                    seen.insert(at, p);
+                }
+            }
+        }
+        for &p in &seen {
+            let m = ds.co_mask(rep, p) & sg.subspace;
+            debug_assert!(sg.decisive.iter().any(|&c| c.is_subset_of(m)));
+            s.relevant.push((m, p));
+        }
+
+        // 2. Fast path: untouched seed group.
+        if s.relevant.is_empty() {
+            out.push(SkylineGroup::new(
+                seed_ids,
+                sg.subspace,
+                sg.decisive.clone(),
+            ));
+            return;
+        }
+
+        // 3. Intersection-closed family of candidate subspaces within B′, pruned
+        //    to masks still containing a decisive subspace (an intersection of a
+        //    non-qualifying mask can never re-qualify).
+        s.closed.clear();
+        s.closed.push(sg.subspace);
+        let mut distinct_masks: Vec<DimMask> = s.relevant.iter().map(|&(m, _)| m).collect();
+        distinct_masks.sort_unstable();
+        distinct_masks.dedup();
+        for &m in &distinct_masks {
+            let before = s.closed.len();
+            for i in 0..before {
+                let inter = s.closed[i] & m;
+                if !inter.is_empty()
+                    && sg.decisive.iter().any(|&c| c.is_subset_of(inter))
+                    && !s.closed.contains(&inter)
+                {
+                    s.closed.push(inter);
+                }
+            }
+        }
+
+        // 4. One derived group per closed mask that is the exact closure of its
+        //    member set.
+        for k in 0..s.closed.len() {
+            let space = s.closed[k];
+            s.members_buf.clear();
+            let mut closure = sg.subspace;
+            for &(m, p) in &s.relevant {
+                if m.is_superset_of(space) {
+                    s.members_buf.push(p);
+                    closure = closure & m;
+                }
+            }
+            if closure != space {
+                continue; // not the canonical subspace for this member set
+            }
+
+            // Decisive subspaces of the derived group (Theorem 5, both bullets).
+            s.cands.clear();
+            for &c in &sg.decisive {
+                if !c.is_subset_of(space) {
+                    continue;
+                }
+                let mut clauses = ClauseSet::new();
+                let mut offended = false;
+                let mut impossible = false;
+                for &(m, o) in &s.relevant {
+                    if m.is_superset_of(c) && !m.is_superset_of(space) {
+                        offended = true;
+                        // Dims of the derived subspace where the group's value
+                        // strictly beats the offender (Theorem 4's requirement).
+                        let clause = ds.dom_mask(rep, o) & space;
+                        if !clauses.add(clause) {
+                            // Unreachable by the quotient-lattice argument (see
+                            // module docs); kept as a safe fallback.
+                            debug_assert!(false, "offender dominates derived group");
+                            impossible = true;
+                            break;
+                        }
+                    }
+                }
+                if impossible {
+                    continue;
+                }
+                if !offended {
+                    s.cands.push(c);
+                } else {
+                    for t in clauses.minimal_transversals() {
+                        s.cands.push(c.union(t));
+                    }
+                }
+            }
+            minimize_antichain(&mut s.cands);
+            debug_assert!(
+                !s.cands.is_empty(),
+                "derived group lost all decisive subspaces"
+            );
+            if s.cands.is_empty() {
+                continue;
+            }
+
+            let mut members = seed_ids.clone();
+            members.extend_from_slice(&s.members_buf);
+            out.push(SkylineGroup::new(members, space, s.cands.clone()));
+        }
     }
 }
 
@@ -303,157 +368,6 @@ struct Scratch {
     closed: Vec<DimMask>,
     members_buf: Vec<ObjId>,
     cands: Vec<DimMask>,
-    mask_row: Vec<DimMask>,
-}
-
-fn extend_one(
-    view: &SeedView<'_>,
-    sg: &SeedGroup,
-    non_seeds: &[ObjId],
-    index: Option<&NonSeedIndex>,
-    non_cols: Option<&ColumnView>,
-    s: &mut Scratch,
-    out: &mut Vec<SkylineGroup>,
-) {
-    let ds = view.dataset();
-    let rep = view.id(sg.members[0]);
-    let rep_row = ds.row(rep);
-    let seed_ids: Vec<ObjId> = sg.members.iter().map(|&i| view.id(i)).collect();
-
-    // 1. Relevant non-seeds: sharing mask within B′ contains some decisive.
-    s.relevant.clear();
-    match (index, non_cols) {
-        (Some(idx), _) => {
-            let mut seen: Vec<ObjId> = Vec::new();
-            for &c in &sg.decisive {
-                idx.matching(rep_row, c, &mut s.candidates);
-                for &p in &s.candidates {
-                    if seen.binary_search(&p).is_err() {
-                        seen.insert(seen.binary_search(&p).unwrap_err(), p);
-                    }
-                }
-            }
-            for &p in &seen {
-                let m = ds.co_mask(rep, p) & sg.subspace;
-                debug_assert!(sg.decisive.iter().any(|&c| c.is_subset_of(m)));
-                s.relevant.push((m, p));
-            }
-        }
-        (None, Some(cols)) => {
-            // Columnar scan: one equality sweep restricted to B′ yields
-            // every non-seed's sharing mask at once.
-            cols.equality_row(rep_row, sg.subspace, &mut s.mask_row);
-            for (p, &m) in s.mask_row.iter().enumerate() {
-                if sg.decisive.iter().any(|&c| c.is_subset_of(m)) {
-                    s.relevant.push((m, non_seeds[p]));
-                }
-            }
-        }
-        (None, None) => {
-            for &p in non_seeds {
-                let m = ds.co_mask(rep, p) & sg.subspace;
-                if sg.decisive.iter().any(|&c| c.is_subset_of(m)) {
-                    s.relevant.push((m, p));
-                }
-            }
-        }
-    }
-
-    // 2. Fast path: untouched seed group.
-    if s.relevant.is_empty() {
-        out.push(SkylineGroup::new(
-            seed_ids,
-            sg.subspace,
-            sg.decisive.clone(),
-        ));
-        return;
-    }
-
-    // 3. Intersection-closed family of candidate subspaces within B′, pruned
-    //    to masks still containing a decisive subspace (an intersection of a
-    //    non-qualifying mask can never re-qualify).
-    s.closed.clear();
-    s.closed.push(sg.subspace);
-    let mut distinct_masks: Vec<DimMask> = s.relevant.iter().map(|&(m, _)| m).collect();
-    distinct_masks.sort_unstable();
-    distinct_masks.dedup();
-    for &m in &distinct_masks {
-        let before = s.closed.len();
-        for i in 0..before {
-            let inter = s.closed[i] & m;
-            if !inter.is_empty()
-                && sg.decisive.iter().any(|&c| c.is_subset_of(inter))
-                && !s.closed.contains(&inter)
-            {
-                s.closed.push(inter);
-            }
-        }
-    }
-
-    // 4. One derived group per closed mask that is the exact closure of its
-    //    member set.
-    for k in 0..s.closed.len() {
-        let space = s.closed[k];
-        s.members_buf.clear();
-        let mut closure = sg.subspace;
-        for &(m, p) in &s.relevant {
-            if m.is_superset_of(space) {
-                s.members_buf.push(p);
-                closure = closure & m;
-            }
-        }
-        if closure != space {
-            continue; // not the canonical subspace for this member set
-        }
-
-        // Decisive subspaces of the derived group (Theorem 5, both bullets).
-        s.cands.clear();
-        for &c in &sg.decisive {
-            if !c.is_subset_of(space) {
-                continue;
-            }
-            let mut clauses = ClauseSet::new();
-            let mut offended = false;
-            let mut impossible = false;
-            for &(m, o) in &s.relevant {
-                if m.is_superset_of(c) && !m.is_superset_of(space) {
-                    offended = true;
-                    // Dims of the derived subspace where the group's value
-                    // strictly beats the offender (Theorem 4's requirement).
-                    let clause = ds.dom_mask(rep, o) & space;
-                    if !clauses.add(clause) {
-                        // Unreachable by the quotient-lattice argument (see
-                        // module docs); kept as a safe fallback.
-                        debug_assert!(false, "offender dominates derived group");
-                        impossible = true;
-                        break;
-                    }
-                }
-            }
-            if impossible {
-                continue;
-            }
-            if !offended {
-                s.cands.push(c);
-            } else {
-                for t in clauses.minimal_transversals() {
-                    s.cands.push(c.union(t));
-                }
-            }
-        }
-        minimize_antichain(&mut s.cands);
-        debug_assert!(
-            !s.cands.is_empty(),
-            "derived group lost all decisive subspaces"
-        );
-        if s.cands.is_empty() {
-            continue;
-        }
-
-        let mut members = seed_ids.clone();
-        members.extend_from_slice(&s.members_buf);
-        out.push(SkylineGroup::new(members, space, s.cands.clone()));
-    }
 }
 
 #[cfg(test)]
@@ -466,43 +380,44 @@ mod tests {
         DimMask::parse(s).unwrap()
     }
 
-    fn full_lattice(ds: &Dataset, strategy: RelevanceStrategy) -> Vec<SkylineGroup> {
+    fn full_lattice(ds: &Dataset) -> Vec<SkylineGroup> {
         let seeds = skycube_skyline::skyline(ds, ds.full_space());
         let view = SeedView::new(ds, seeds);
         let sgs = seed_skyline_groups(&view);
-        normalize_groups(extend_to_full(&view, &sgs, strategy))
+        normalize_groups(extend_to_full(&view, &sgs))
     }
 
     /// Figure 3(b): the skyline groups and decisive subspaces on all of S.
     #[test]
     fn figure_3b_full_lattice() {
         let ds = running_example();
-        for strategy in [RelevanceStrategy::Index, RelevanceStrategy::Scan] {
-            let groups = full_lattice(&ds, strategy);
-            let expect = normalize_groups(vec![
-                // (P5, (2,4,9,3), AB) — BD expanded away by P3, ABD ⊃ AB dropped.
-                SkylineGroup::new(vec![4], mask("ABCD"), vec![mask("AB")]),
-                // (P2, (2,6,8,3), AC, CD) — untouched.
-                SkylineGroup::new(vec![1], mask("ABCD"), vec![mask("AC"), mask("CD")]),
-                // (P4, (6,4,8,5), BC) — untouched.
-                SkylineGroup::new(vec![3], mask("ABCD"), vec![mask("BC")]),
-                // (P3P5, (*,4,9,3), BD) — new split group; shares BCD.
-                SkylineGroup::new(vec![2, 4], mask("BCD"), vec![mask("BD")]),
-                // (P2P5, (2,*,*,3), A) — D no longer decisive (P3 shares D).
-                SkylineGroup::new(vec![1, 4], mask("AD"), vec![mask("A")]),
-                // (P3P4P5, (*,4,*,*), B) — P3 absorbed at the full subspace.
-                SkylineGroup::new(vec![2, 3, 4], mask("B"), vec![mask("B")]),
-                // (P2P3P5, (*,*,*,3), D) — new split group below P2P5.
-                SkylineGroup::new(vec![1, 2, 4], mask("D"), vec![mask("D")]),
-                // (P2P4, (*,*,8,*), C) — untouched.
-                SkylineGroup::new(vec![1, 3], mask("C"), vec![mask("C")]),
-            ]);
-            assert_eq!(groups, expect, "strategy {strategy:?}");
-        }
+        let groups = full_lattice(&ds);
+        let expect = normalize_groups(vec![
+            // (P5, (2,4,9,3), AB) — BD expanded away by P3, ABD ⊃ AB dropped.
+            SkylineGroup::new(vec![4], mask("ABCD"), vec![mask("AB")]),
+            // (P2, (2,6,8,3), AC, CD) — untouched.
+            SkylineGroup::new(vec![1], mask("ABCD"), vec![mask("AC"), mask("CD")]),
+            // (P4, (6,4,8,5), BC) — untouched.
+            SkylineGroup::new(vec![3], mask("ABCD"), vec![mask("BC")]),
+            // (P3P5, (*,4,9,3), BD) — new split group; shares BCD.
+            SkylineGroup::new(vec![2, 4], mask("BCD"), vec![mask("BD")]),
+            // (P2P5, (2,*,*,3), A) — D no longer decisive (P3 shares D).
+            SkylineGroup::new(vec![1, 4], mask("AD"), vec![mask("A")]),
+            // (P3P4P5, (*,4,*,*), B) — P3 absorbed at the full subspace.
+            SkylineGroup::new(vec![2, 3, 4], mask("B"), vec![mask("B")]),
+            // (P2P3P5, (*,*,*,3), D) — new split group below P2P5.
+            SkylineGroup::new(vec![1, 2, 4], mask("D"), vec![mask("D")]),
+            // (P2P4, (*,*,8,*), C) — untouched.
+            SkylineGroup::new(vec![1, 3], mask("C"), vec![mask("C")]),
+        ]);
+        assert_eq!(groups, expect);
     }
 
+    /// The posting-list intersection finds exactly the relevant non-seeds:
+    /// a non-seed joins some group derived from a seed group iff the
+    /// per-pair test [`non_seed_relevant`] holds.
     #[test]
-    fn strategies_agree_on_random_data() {
+    fn posting_lists_find_exactly_the_relevant_non_seeds() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(31);
@@ -520,11 +435,26 @@ mod tests {
                 }
             }
             let ds = Dataset::from_rows(dims, rows).unwrap();
-            assert_eq!(
-                full_lattice(&ds, RelevanceStrategy::Index),
-                full_lattice(&ds, RelevanceStrategy::Scan),
-                "trial {trial}"
-            );
+            let seeds = skycube_skyline::skyline(&ds, ds.full_space());
+            let view = SeedView::new(&ds, seeds);
+            let ctx = ExtensionContext::new(&view);
+            for sg in seed_skyline_groups(&view) {
+                let mut derived = Vec::new();
+                ctx.extend_group(&view, &sg, &mut derived);
+                let mut joined: Vec<ObjId> = derived
+                    .iter()
+                    .flat_map(|g| g.members.iter().copied())
+                    .filter(|o| view.seeds().binary_search(o).is_err())
+                    .collect();
+                joined.sort_unstable();
+                joined.dedup();
+                let relevant: Vec<ObjId> = ds
+                    .ids()
+                    .filter(|o| view.seeds().binary_search(o).is_err())
+                    .filter(|&p| non_seed_relevant(&view, &sg, p))
+                    .collect();
+                assert_eq!(joined, relevant, "trial {trial} group {sg:?}");
+            }
         }
     }
 
@@ -534,22 +464,20 @@ mod tests {
         let seeds = skycube_skyline::skyline(&ds, ds.full_space());
         let view = SeedView::new(&ds, seeds);
         let sgs = seed_skyline_groups(&view);
-        for strategy in [RelevanceStrategy::Index, RelevanceStrategy::Scan] {
-            let seq = extend_to_full(&view, &sgs, strategy);
-            for threads in [1, 2, 4] {
-                assert_eq!(
-                    extend_to_full_par(&view, &sgs, strategy, Parallelism::new(threads)),
-                    seq,
-                    "strategy {strategy:?} threads {threads}"
-                );
-            }
+        let seq = extend_to_full(&view, &sgs);
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                extend_to_full_par(&view, &sgs, Parallelism::new(threads)),
+                seq,
+                "threads {threads}"
+            );
         }
     }
 
     #[test]
     fn all_seeds_survive_in_full_space_groups() {
         let ds = running_example();
-        let groups = full_lattice(&ds, RelevanceStrategy::Index);
+        let groups = full_lattice(&ds);
         for seed in [1u32, 3, 4] {
             assert!(groups
                 .iter()
@@ -560,7 +488,7 @@ mod tests {
     #[test]
     fn theorem1_every_group_contains_a_seed() {
         let ds = running_example();
-        let groups = full_lattice(&ds, RelevanceStrategy::Index);
+        let groups = full_lattice(&ds);
         let seeds = [1u32, 3, 4];
         for g in &groups {
             assert!(

@@ -48,9 +48,7 @@ pub use cgroups::maximal_cgroups_par;
 pub use cgroups::{maximal_cgroups, MaxCGroup};
 pub use cube::CompressedSkylineCube;
 pub use explain::{explain, explain_text, Explanation};
-pub use extend::{
-    extend_to_full, extend_to_full_par, non_seed_relevant, ExtensionContext, RelevanceStrategy,
-};
+pub use extend::{extend_to_full, extend_to_full_par, non_seed_relevant, ExtensionContext};
 pub use index::{
     CubeIndex, IndexProbe, IndexScratch, MemoOutcome, MemoStats, MergeRoute, QueryBudget,
     QueryError,
@@ -66,53 +64,28 @@ pub use seeds::{seed_skyline_groups, seed_skyline_groups_par, SeedGroup};
 pub use skycube_parallel::Parallelism;
 pub use transversal::{minimize_antichain, ClauseSet};
 
-use skycube_skyline::{skyline_parallel_with, Algorithm};
-pub use skycube_types::DominanceKernel;
+use skycube_skyline::skyline_parallel;
 use skycube_types::{Dataset, ObjId, SkylineGroup};
 
-/// Configurable Stellar runner.
+/// Stellar runner; its one setting is the worker-thread count.
 ///
 /// ```
-/// use skycube_stellar::{Stellar, RelevanceStrategy};
-/// use skycube_skyline::Algorithm;
+/// use skycube_stellar::Stellar;
 /// use skycube_types::running_example;
 ///
-/// let cube = Stellar::new()
-///     .with_algorithm(Algorithm::Bnl)
-///     .with_strategy(RelevanceStrategy::Scan)
-///     .compute(&running_example());
+/// let cube = Stellar::new().with_threads(2).compute(&running_example());
 /// assert_eq!(cube.seeds(), &[1, 3, 4]);
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Stellar {
-    algorithm: Algorithm,
-    strategy: RelevanceStrategy,
     parallelism: Parallelism,
-    kernel: DominanceKernel,
 }
 
 impl Stellar {
-    /// Runner with default configuration (SFS skyline, indexed relevance,
-    /// one worker per logical core — a single-core machine, or
-    /// [`Stellar::with_threads`]`(1)`, selects today's exact sequential
-    /// path).
+    /// Runner with one worker per logical core (a single-core machine, or
+    /// [`Stellar::with_threads`]`(1)`, selects the exact sequential path).
     pub fn new() -> Self {
         Stellar::default()
-    }
-
-    /// Choose the full-space skyline algorithm (step 1). Only honored on
-    /// the sequential path: with more than one thread configured, seeds
-    /// come from the partitioned parallel skyline instead — the output
-    /// set is identical either way.
-    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// Choose how relevant non-seeds are located (step 5).
-    pub fn with_strategy(mut self, strategy: RelevanceStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Set the worker-thread count for every pipeline stage; `1` selects
@@ -130,33 +103,9 @@ impl Stellar {
         self
     }
 
-    /// Choose the dominance kernel for every comparison-heavy stage: the
-    /// full-space skyline, the seed dominance rows, and the non-seed
-    /// accommodation scan. The default is [`DominanceKernel::Columnar`];
-    /// `Scalar` selects the per-pair reference path.
-    pub fn with_kernel(mut self, kernel: DominanceKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The configured full-space skyline algorithm.
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// The configured relevance strategy.
-    pub fn strategy(&self) -> RelevanceStrategy {
-        self.strategy
-    }
-
     /// The configured parallelism.
     pub fn parallelism(&self) -> Parallelism {
         self.parallelism
-    }
-
-    /// The configured dominance kernel.
-    pub fn kernel(&self) -> DominanceKernel {
-        self.kernel
     }
 
     /// Compute the compressed skyline cube of `ds`.
@@ -168,15 +117,11 @@ impl Stellar {
         // bound together and always appear together in groups.
         let (bound, reps) = ds.bind_duplicates();
         let par = self.parallelism;
-        let seeds_bound = if par.is_sequential() {
-            self.algorithm
-                .run_with(&bound, bound.full_space(), self.kernel)
-        } else {
-            skyline_parallel_with(&bound, bound.full_space(), par, self.kernel)
-        };
-        let view = SeedView::with_kernel(&bound, seeds_bound, self.kernel);
+        // One thread runs plain SFS; more run the partitioned parallel SFS.
+        let seeds_bound = skyline_parallel(&bound, bound.full_space(), par);
+        let view = SeedView::new(&bound, seeds_bound);
         let seed_groups = seed_skyline_groups_par(&view, par);
-        let groups_bound = extend_to_full_par(&view, &seed_groups, self.strategy, par);
+        let groups_bound = extend_to_full_par(&view, &seed_groups, par);
 
         // Re-expand bound duplicates into the original id space.
         let expand = |ids: &[ObjId]| -> Vec<ObjId> {
@@ -204,7 +149,7 @@ pub fn compute_cube(ds: &Dataset) -> CompressedSkylineCube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skycube_types::{normalize_groups, running_example, DimMask};
+    use skycube_types::{running_example, DimMask};
 
     #[test]
     fn running_example_end_to_end() {
@@ -241,36 +186,6 @@ mod tests {
                 cube.subspace_skyline(space),
                 skycube_skyline::skyline_naive(&ds, space),
                 "subspace {space}"
-            );
-        }
-    }
-
-    #[test]
-    fn all_skyline_algorithms_yield_the_same_cube() {
-        let ds = running_example();
-        let base = normalize_groups(compute_cube(&ds).groups().to_vec());
-        for alg in Algorithm::ALL {
-            let cube = Stellar::new().with_algorithm(alg).compute(&ds);
-            assert_eq!(normalize_groups(cube.groups().to_vec()), base);
-        }
-    }
-
-    #[test]
-    fn scalar_and_columnar_kernels_yield_the_same_cube() {
-        let ds = running_example();
-        let scalar = Stellar::new()
-            .with_kernel(DominanceKernel::Scalar)
-            .compute(&ds);
-        for strategy in [RelevanceStrategy::Index, RelevanceStrategy::Scan] {
-            let columnar = Stellar::new()
-                .with_kernel(DominanceKernel::Columnar)
-                .with_strategy(strategy)
-                .compute(&ds);
-            assert_eq!(columnar.seeds(), scalar.seeds(), "strategy {strategy:?}");
-            assert_eq!(
-                normalize_groups(columnar.groups().to_vec()),
-                normalize_groups(scalar.groups().to_vec()),
-                "strategy {strategy:?}"
             );
         }
     }

@@ -33,6 +33,7 @@ use crate::lattice::diff_groups;
 use crate::matrices::SeedView;
 use crate::seeds::{seed_skyline_groups, SeedGroup};
 use crate::{CompressedSkylineCube, Stellar};
+use skycube_skyline::skyline;
 use skycube_types::{Dataset, DimMask, ObjId, Result, SkylineGroup, Value};
 
 /// Mutation counters, split by path × operation. `spliced` counts the
@@ -189,7 +190,6 @@ impl MaintenanceDelta {
 
 /// An updatable compressed skyline cube.
 pub struct StellarEngine {
-    runner: Stellar,
     rows: Vec<Vec<Value>>,
     dims: usize,
     cube: CompressedSkylineCube,
@@ -223,11 +223,12 @@ impl StellarEngine {
         Self::with_runner(ds, Stellar::new())
     }
 
-    /// Build with a configured runner.
-    pub fn with_runner(ds: &Dataset, runner: Stellar) -> Self {
+    /// Build with a configured runner. The engine's builds run SFS and the
+    /// rest of the pipeline on one thread, so the runner's thread count
+    /// does not reach them yet.
+    pub fn with_runner(ds: &Dataset, _runner: Stellar) -> Self {
         let rows: Vec<Vec<Value>> = ds.ids().map(|o| ds.row(o).to_vec()).collect();
         let mut engine = StellarEngine {
-            runner,
             rows,
             dims: ds.dims(),
             cube: CompressedSkylineCube::new(ds.dims(), 0, Vec::new(), Vec::new()),
@@ -249,8 +250,9 @@ impl StellarEngine {
     /// dropping it.
     ///
     /// Fails with a structured error when the cube does not describe `ds`
-    /// (dimensionality or object-count mismatch).
-    pub fn with_cube(ds: &Dataset, cube: CompressedSkylineCube, runner: Stellar) -> Result<Self> {
+    /// (dimensionality or object-count mismatch). As in
+    /// [`Self::with_runner`], the runner's thread count is not used yet.
+    pub fn with_cube(ds: &Dataset, cube: CompressedSkylineCube, _runner: Stellar) -> Result<Self> {
         if cube.dims() != ds.dims() || cube.num_objects() != ds.len() {
             return Err(skycube_types::Error::Corrupt {
                 line: 0,
@@ -266,7 +268,6 @@ impl StellarEngine {
         }
         let rows: Vec<Vec<Value>> = ds.ids().map(|o| ds.row(o).to_vec()).collect();
         Ok(StellarEngine {
-            runner,
             rows,
             dims: ds.dims(),
             cube,
@@ -692,12 +693,8 @@ impl StellarEngine {
     fn build_cache(&self) -> CachedSeedLattice {
         let ds = self.dataset();
         let (bound, reps) = ds.bind_duplicates();
-        let kernel = self.runner.kernel();
-        let seeds_bound = self
-            .runner
-            .algorithm()
-            .run_with(&bound, bound.full_space(), kernel);
-        let view = SeedView::with_kernel(&bound, seeds_bound.clone(), kernel);
+        let seeds_bound = skyline(&bound, bound.full_space());
+        let view = SeedView::new(&bound, seeds_bound.clone());
         let seed_groups = seed_skyline_groups(&view);
         let ctx = ExtensionContext::new(&view);
         let mut ext: Vec<Vec<SkylineGroup>> = Vec::with_capacity(seed_groups.len());
@@ -920,62 +917,25 @@ mod tests {
     fn randomized_mixed_insert_delete_stream() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(1234);
-        let mut engine = StellarEngine::new(&running_example());
-        for _ in 0..40 {
-            if engine.len() > 2 && rng.gen_bool(0.4) {
-                let id = rng.gen_range(0..engine.len() as u32);
-                engine.delete(id).unwrap();
-            } else {
-                let row: Vec<i64> = (0..4).map(|_| rng.gen_range(0..8)).collect();
-                engine.insert(row).unwrap();
+        for (seed, steps) in [(1234, 40), (77, 60)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut engine = StellarEngine::new(&running_example());
+            for _ in 0..steps {
+                if engine.len() > 2 && rng.gen_bool(0.4) {
+                    let id = rng.gen_range(0..engine.len() as u32);
+                    engine.delete(id).unwrap();
+                } else {
+                    let row: Vec<i64> = (0..4).map(|_| rng.gen_range(0..8)).collect();
+                    engine.insert(row).unwrap();
+                }
+                assert_cubes_equal(&engine);
             }
-            assert_cubes_equal(&engine);
+            let stats = engine.maintenance_stats();
+            assert!(
+                stats.fast() > 0 && stats.full() > 0,
+                "seed {seed}: {stats:?}"
+            );
         }
-    }
-
-    #[test]
-    fn scalar_and_columnar_engines_hold_equal_cubes() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        use skycube_types::DominanceKernel;
-        let engine = |kernel| {
-            StellarEngine::with_runner(
-                &running_example(),
-                Stellar::new().with_threads(1).with_kernel(kernel),
-            )
-        };
-        let mut scalar = engine(DominanceKernel::Scalar);
-        let mut columnar = engine(DominanceKernel::Columnar);
-        let mut rng = StdRng::seed_from_u64(77);
-        for step in 0..60 {
-            if scalar.len() > 2 && rng.gen_bool(0.4) {
-                let id = rng.gen_range(0..scalar.len() as u32);
-                assert_eq!(scalar.delete(id).unwrap(), columnar.delete(id).unwrap());
-            } else {
-                let row: Vec<i64> = (0..4).map(|_| rng.gen_range(0..8)).collect();
-                let id = scalar.insert(row.clone()).unwrap();
-                assert_eq!(columnar.insert(row).unwrap(), id);
-            }
-            assert_eq!(
-                scalar.maintenance_stats(),
-                columnar.maintenance_stats(),
-                "step {step}"
-            );
-            assert_eq!(
-                scalar.cube().seeds(),
-                columnar.cube().seeds(),
-                "step {step}"
-            );
-            assert_eq!(
-                scalar.cube().groups(),
-                columnar.cube().groups(),
-                "step {step}"
-            );
-            assert_cubes_equal(&scalar);
-        }
-        assert!(scalar.maintenance_stats().fast() > 0);
-        assert!(scalar.maintenance_stats().full() > 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! set*, after Nedjar et al.) with the row's seed, each with its mask.
 //! Property 1 of the paper (`co = D − dom(u,v) − dom(v,u)`) ties the two.
 
-use skycube_types::{Dataset, DimMask, DominanceKernel, ObjId};
+use skycube_types::{Dataset, DimMask, ObjId};
 use std::sync::OnceLock;
 
 /// Seed objects plus row-wise access to their pairwise masks.
@@ -25,13 +25,12 @@ use std::sync::OnceLock;
 /// currency of the seed-lattice algorithms; they translate back to dataset
 /// [`ObjId`]s via [`SeedView::id`].
 ///
-/// Under the default [`DominanceKernel::Columnar`], dominance rows are
-/// sweeps over per-dimension rank columns; under `Scalar` they are per-pair
-/// [`Dataset::dom_mask`] calls. Nothing is copied at construction.
+/// Dominance rows are sweeps over per-dimension rank columns; the per-pair
+/// [`Dataset::dom_mask`] and [`Dataset::co_mask`] are the reference the
+/// tests hold them to. Nothing is copied at construction.
 pub struct SeedView<'a> {
     ds: &'a Dataset,
     seeds: Vec<ObjId>,
-    kernel: DominanceKernel,
     ranks: OnceLock<SeedRanks>,
 }
 
@@ -78,17 +77,12 @@ impl SeedRanks {
 }
 
 impl<'a> SeedView<'a> {
-    /// Wrap a dataset and its full-space skyline with the default kernel.
+    /// Wrap a dataset and its full-space skyline.
     ///
     /// The seed list is canonicalized — sorted ascending with duplicates
     /// removed — so an unsorted caller can no longer produce a silently
     /// wrong lattice (the set-enumeration search requires ascending seeds).
-    pub fn new(ds: &'a Dataset, seeds: Vec<ObjId>) -> Self {
-        SeedView::with_kernel(ds, seeds, DominanceKernel::default())
-    }
-
-    /// [`SeedView::new`] with an explicit dominance kernel.
-    pub fn with_kernel(ds: &'a Dataset, mut seeds: Vec<ObjId>, kernel: DominanceKernel) -> Self {
+    pub fn new(ds: &'a Dataset, mut seeds: Vec<ObjId>) -> Self {
         if !seeds.windows(2).all(|w| w[0] < w[1]) {
             seeds.sort_unstable();
             seeds.dedup();
@@ -96,7 +90,6 @@ impl<'a> SeedView<'a> {
         SeedView {
             ds,
             seeds,
-            kernel,
             ranks: OnceLock::new(),
         }
     }
@@ -117,12 +110,6 @@ impl<'a> SeedView<'a> {
     #[inline]
     pub fn dataset(&self) -> &'a Dataset {
         self.ds
-    }
-
-    /// The dominance kernel this view routes its dominance rows through.
-    #[inline]
-    pub fn kernel(&self) -> DominanceKernel {
-        self.kernel
     }
 
     /// All seed object ids, ascending.
@@ -175,11 +162,6 @@ impl<'a> SeedView<'a> {
     /// the dimensions on which seed `i` has a strictly smaller value.
     pub fn dom_row(&self, i: usize, row: &mut Vec<DimMask>) {
         row.clear();
-        if !self.kernel.is_columnar() {
-            let u = self.seeds[i];
-            row.extend(self.seeds.iter().map(|&v| self.ds.dom_mask(u, v)));
-            return;
-        }
         row.resize(self.len(), DimMask::EMPTY);
         for (d, col) in self.ranks().rank.iter().enumerate() {
             let probe = col[i];
@@ -251,22 +233,6 @@ mod tests {
                 view.dom_row(j, &mut dom_j);
                 assert_eq!(co[j], full - dom_i[j] - dom_j[i]);
             }
-        }
-    }
-
-    #[test]
-    fn kernels_produce_identical_rows() {
-        let ds = running_example();
-        let scalar = SeedView::with_kernel(&ds, vec![1, 3, 4], DominanceKernel::Scalar);
-        let columnar = SeedView::with_kernel(&ds, vec![1, 3, 4], DominanceKernel::Columnar);
-        assert_eq!(scalar.kernel(), DominanceKernel::Scalar);
-        assert_eq!(columnar.kernel(), DominanceKernel::Columnar);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for i in 0..scalar.len() {
-            scalar.dom_row(i, &mut a);
-            columnar.dom_row(i, &mut b);
-            assert_eq!(a, b, "dom row {i}");
-            assert_eq!(dense_co(&scalar, i), dense_co(&columnar, i), "co row {i}");
         }
     }
 

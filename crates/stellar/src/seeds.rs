@@ -377,10 +377,9 @@ mod tests {
 
     #[test]
     fn bucketed_min_dnf_matches_the_per_seed_reference() {
-        use skycube_types::DominanceKernel;
         for (name, ds, seed_sets) in reference_datasets() {
             for seeds in seed_sets {
-                let view = SeedView::new(&ds, seeds.clone());
+                let view = SeedView::new(&ds, seeds);
                 let want = seed_skyline_groups_dense(&view);
                 assert_eq!(
                     seed_skyline_groups(&view),
@@ -392,8 +391,6 @@ mod tests {
                     let got = seed_skyline_groups_par(&view, Parallelism::new(threads));
                     assert_eq!(got, want, "{name}, {} seeds, threads {threads}", view.len());
                 }
-                let scalar = SeedView::with_kernel(&ds, seeds, DominanceKernel::Scalar);
-                assert_eq!(seed_skyline_groups(&scalar), want, "{name}, scalar");
             }
         }
     }

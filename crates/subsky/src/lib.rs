@@ -33,7 +33,7 @@ mod anchored;
 
 pub use anchored::AnchoredSubskyIndex;
 
-use skycube_types::{ColumnarWindow, Dataset, DimMask, DomRelation, DominanceKernel, ObjId, Value};
+use skycube_types::{ColumnarWindow, Dataset, DimMask, ObjId, Value};
 
 /// The one-dimensional index: objects ascending by full-space minimum
 /// coordinate. Build once, query any subspace.
@@ -43,42 +43,22 @@ pub struct SubskyIndex<'a> {
     order: Vec<ObjId>,
     /// `key[i]` = minimum coordinate of `order[i]` over the full space.
     keys: Vec<Value>,
-    /// Dominance kernel for the per-query BNL-style window.
-    kernel: DominanceKernel,
 }
 
 impl<'a> SubskyIndex<'a> {
-    /// Build the index with the default kernel: one sort, O(n log n).
+    /// Build the index: one sort, O(n log n).
     pub fn build(ds: &'a Dataset) -> Self {
-        SubskyIndex::build_with(ds, DominanceKernel::default())
-    }
-
-    /// [`SubskyIndex::build`] with an explicit dominance kernel for the
-    /// query-time window scans. Queries return identical skylines and
-    /// identical scan counts under either kernel (the window membership
-    /// decisions coincide, hence so does the termination bound).
-    pub fn build_with(ds: &'a Dataset, kernel: DominanceKernel) -> Self {
         let min_coord =
             |o: ObjId| -> Value { ds.row(o).iter().copied().min().unwrap_or(Value::MAX) };
         let mut order: Vec<ObjId> = ds.ids().collect();
         order.sort_unstable_by_key(|&o| min_coord(o));
         let keys = order.iter().map(|&o| min_coord(o)).collect();
-        SubskyIndex {
-            ds,
-            order,
-            keys,
-            kernel,
-        }
+        SubskyIndex { ds, order, keys }
     }
 
     /// The dataset the index serves.
     pub fn dataset(&self) -> &'a Dataset {
         self.ds
-    }
-
-    /// The dominance kernel queries route their window scans through.
-    pub fn kernel(&self) -> DominanceKernel {
-        self.kernel
     }
 
     /// The skyline of `space`, ids ascending.
@@ -98,59 +78,17 @@ impl<'a> SubskyIndex<'a> {
             "invalid subspace {space}"
         );
         let ds = self.ds;
-        if self.kernel.is_columnar() {
-            return self.skyline_counting_columnar(space);
-        }
-        let mut window: Vec<ObjId> = Vec::new();
-        // min over found skyline members of their max coordinate in `space`.
-        let mut bound: Option<Value> = None;
-        let mut scanned = 0usize;
-        'scan: for (i, &u) in self.order.iter().enumerate() {
-            if let Some(b) = bound {
-                // Every coordinate of every remaining object is ≥ keys[i];
-                // if keys[i] > b, the bound's witness strictly dominates all
-                // of them in `space`.
-                if self.keys[i] > b {
-                    break;
-                }
-            }
-            scanned += 1;
-            // The scan order is NOT topological for subspace dominance, so
-            // this is a BNL-style window with eviction.
-            let mut j = 0;
-            while j < window.len() {
-                match ds.compare(window[j], u, space) {
-                    DomRelation::Dominates => continue 'scan,
-                    DomRelation::DominatedBy => {
-                        window.swap_remove(j);
-                    }
-                    _ => j += 1,
-                }
-            }
-            window.push(u);
-            let row = ds.row(u);
-            let max_c = space.iter().map(|d| row[d]).max().expect("non-empty space");
-            bound = Some(match bound {
-                None => max_c,
-                Some(b) => b.min(max_c),
-            });
-        }
-        window.sort_unstable();
-        (window, scanned)
-    }
-
-    /// The columnar window variant of the scan: one [`ColumnarWindow::admit`]
-    /// per inspected entry sweeps the window column-wise. Membership
-    /// decisions match the scalar loop exactly (see
-    /// [`ColumnarWindow::admit`]), so the bound — and thus `scanned` — is
-    /// identical.
-    fn skyline_counting_columnar(&self, space: DimMask) -> (Vec<ObjId>, usize) {
-        let ds = self.ds;
+        // The scan order is not topological for subspace dominance, so this
+        // is a BNL-style window with eviction, kept column-wise.
         let mut window = ColumnarWindow::new(ds.dims());
+        // min over found skyline members of their max coordinate in `space`.
         let mut bound: Option<Value> = None;
         let mut scanned = 0usize;
         for (i, &u) in self.order.iter().enumerate() {
             if let Some(b) = bound {
+                // Every coordinate of every remaining object is ≥ keys[i];
+                // if keys[i] > b, the bound's witness strictly dominates all
+                // of them in `space`.
                 if self.keys[i] > b {
                     break;
                 }
@@ -234,26 +172,6 @@ mod tests {
                 assert_eq!(
                     index.skyline(space),
                     skyline_naive(&ds, space),
-                    "{} subspace {space}",
-                    dist.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn kernels_agree_on_skyline_and_scan_count() {
-        use skycube_datagen::{generate, Distribution};
-        for dist in Distribution::ALL {
-            let ds = generate(dist, 1_500, 4, 59);
-            let scalar = SubskyIndex::build_with(&ds, DominanceKernel::Scalar);
-            let columnar = SubskyIndex::build_with(&ds, DominanceKernel::Columnar);
-            assert_eq!(scalar.kernel(), DominanceKernel::Scalar);
-            assert_eq!(columnar.kernel(), DominanceKernel::Columnar);
-            for space in ds.full_space().subsets() {
-                assert_eq!(
-                    scalar.skyline_counting(space),
-                    columnar.skyline_counting(space),
                     "{} subspace {space}",
                     dist.name()
                 );

@@ -1,147 +1,37 @@
-//! Columnar execution substrate: per-dimension contiguous columns plus
-//! batched dominance/coincidence kernels.
+//! Columnar execution substrate: per-dimension rank orders and the
+//! column-wise elimination window every skyline scan sweeps.
 //!
-//! The scalar primitives in [`Dataset`] compare one *pair* of objects at a
-//! time, walking a row-major table. The kernels here instead sweep one
-//! *column* across many candidates at a time: a [`ColumnView`] stores each
-//! dimension as a contiguous `Vec<Value>`, so computing a whole comparison
-//! row (`co(u, ·)` or full [`DomRelation`]s) is a sequence of cache-linear,
-//! branch-light `i64` compare loops. [`ColumnarWindow`] is the incremental
-//! counterpart for BNL/SFS-style elimination windows, where the candidate
-//! set itself grows and shrinks as the scan proceeds.
-//!
-//! Engines select between the scalar reference path and these kernels with
-//! the [`DominanceKernel`] knob; both paths are required to produce
-//! identical output (property-tested in `tests/properties.rs`).
+//! The primitives in [`Dataset`] compare one *pair* of objects at a time,
+//! walking a row-major table; they are the definition-level reference the
+//! tests compare against. [`ColumnarWindow`] instead keeps the members of a
+//! BNL/SFS-style elimination window column-wise, so the per-probe "does
+//! anyone in the window dominate me?" test is a sequence of cache-linear,
+//! branch-light `i64` compare loops. [`ColumnView`] holds one argsort and
+//! one dense rank array per dimension, which Skyey's shared-sort
+//! subspace enumeration starts and refines its orders from.
 
-use crate::dataset::{Dataset, DomRelation, ObjId};
+use crate::dataset::{Dataset, ObjId};
 use crate::dims::DimMask;
 use crate::value::Value;
-use std::ops::Range;
 
-/// Flag bit set when the probe is strictly better than the candidate on at
-/// least one swept dimension.
-pub const FLAG_PROBE_BETTER: u8 = 1;
+/// Flag bit set when the probe is strictly better than the window member on
+/// at least one swept dimension.
+const FLAG_PROBE_BETTER: u8 = 1;
 
-/// Flag bit set when the candidate is strictly better than the probe on at
-/// least one swept dimension.
-pub const FLAG_CANDIDATE_BETTER: u8 = 2;
+/// Flag bit set when the window member is strictly better than the probe on
+/// at least one swept dimension.
+const FLAG_CANDIDATE_BETTER: u8 = 2;
 
-/// Which comparison kernel an engine uses for its hot dominance loops.
-///
-/// `Scalar` is the reference implementation (per-pair calls into
-/// [`Dataset::compare`] and friends); `Columnar` routes the same loops
-/// through batched column sweeps. Both produce identical results; the knob
-/// exists so the scalar path stays available as an oracle and a fallback.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum DominanceKernel {
-    /// Per-pair scalar comparisons over the row-major table (reference).
-    Scalar,
-    /// Batched per-dimension column sweeps (default).
-    #[default]
-    Columnar,
-}
-
-impl DominanceKernel {
-    /// Both kernels, scalar first.
-    pub const ALL: [DominanceKernel; 2] = [DominanceKernel::Scalar, DominanceKernel::Columnar];
-
-    /// Stable lowercase name (matches the CLI's `--kernel` values).
-    pub fn name(self) -> &'static str {
-        match self {
-            DominanceKernel::Scalar => "scalar",
-            DominanceKernel::Columnar => "columnar",
-        }
-    }
-
-    /// Parse a kernel name as accepted by the CLI (`scalar` / `columnar`,
-    /// case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Some(DominanceKernel::Scalar),
-            "columnar" => Some(DominanceKernel::Columnar),
-            _ => None,
-        }
-    }
-
-    /// Whether this is the columnar kernel.
-    #[inline]
-    pub fn is_columnar(self) -> bool {
-        matches!(self, DominanceKernel::Columnar)
-    }
-}
-
-impl std::fmt::Display for DominanceKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Map a probe-vs-candidate flag byte to the probe's [`DomRelation`].
-///
-/// The byte is an OR of [`FLAG_PROBE_BETTER`] and [`FLAG_CANDIDATE_BETTER`]
-/// accumulated over the swept dimensions, exactly mirroring the two booleans
-/// in [`Dataset::compare`].
-#[inline]
-pub fn relation_from_flags(flags: u8) -> DomRelation {
-    match flags {
-        0 => DomRelation::Equal,
-        FLAG_PROBE_BETTER => DomRelation::Dominates,
-        FLAG_CANDIDATE_BETTER => DomRelation::DominatedBy,
-        _ => DomRelation::Incomparable,
-    }
-}
-
-/// A columnar (structure-of-arrays) view of a dataset, or of a subset of its
-/// rows, built once and swept many times.
-///
-/// Position `p` of the view holds the object `ids()[p]`; every kernel below
-/// reports its results *per view position*, which callers translate back to
-/// object ids with [`ColumnView::id`]. Restricting a view to a candidate
-/// list (e.g. the full-space skyline seeds) with [`ColumnView::for_ids`]
-/// makes row sweeps over those candidates contiguous even when the ids are
-/// scattered in the dataset.
-///
-/// The `_range` kernel variants sweep only a contiguous range of view
-/// positions, which is how `crates/parallel` chunking hands each worker its
-/// own cache-local slice of a shared view.
+/// Per-dimension argsort orders and dense ranks of a whole dataset, built
+/// once and read by every branch of a subspace enumeration.
 pub struct ColumnView {
-    dims: usize,
-    ids: Vec<ObjId>,
-    cols: Vec<Vec<Value>>,
     ranks: Vec<Vec<u32>>,
     orders: Vec<Vec<ObjId>>,
 }
 
 impl ColumnView {
-    /// Build a columnar view of the whole dataset (position `p` ⇔ object
-    /// `p`).
-    pub fn new(ds: &Dataset) -> Self {
-        let ids: Vec<ObjId> = ds.ids().collect();
-        ColumnView::for_ids(ds, &ids)
-    }
-
-    /// Build a columnar view restricted to `ids` (in the given order).
-    pub fn for_ids(ds: &Dataset, ids: &[ObjId]) -> Self {
-        let dims = ds.dims();
-        let mut cols = vec![Vec::with_capacity(ids.len()); dims];
-        for &o in ids {
-            let row = ds.row(o);
-            for (d, col) in cols.iter_mut().enumerate() {
-                col.push(row[d]);
-            }
-        }
-        ColumnView {
-            dims,
-            ids: ids.to_vec(),
-            cols,
-            ranks: Vec::new(),
-            orders: Vec::new(),
-        }
-    }
-
-    /// Build a full-dataset view plus per-dimension argsort orders and dense
-    /// ranks, from a single argsort per dimension.
+    /// Build per-dimension argsort orders and dense ranks, from a single
+    /// argsort per dimension.
     ///
     /// `order(d)` lists all object ids ascending by `(value in d, id)` — a
     /// deterministic total order whose value component is topological for
@@ -151,12 +41,13 @@ impl ColumnView {
     /// rank-keyed sorts order exactly like value-keyed sorts while comparing
     /// `u32`s instead of gathering `i64`s from the table.
     pub fn with_rank_orders(ds: &Dataset) -> Self {
-        let mut view = ColumnView::new(ds);
-        let n = view.len();
-        view.orders = Vec::with_capacity(view.dims);
-        view.ranks = Vec::with_capacity(view.dims);
-        for d in 0..view.dims {
-            let col = &view.cols[d];
+        let n = ds.len();
+        let mut view = ColumnView {
+            ranks: Vec::with_capacity(ds.dims()),
+            orders: Vec::with_capacity(ds.dims()),
+        };
+        for d in 0..ds.dims() {
+            let col: Vec<Value> = ds.ids().map(|o| ds.value(o, d)).collect();
             let mut order: Vec<ObjId> = (0..n as ObjId).collect();
             order.sort_unstable_by_key(|&o| (col[o as usize], o));
             let mut rank = vec![0u32; n];
@@ -173,126 +64,17 @@ impl ColumnView {
         view
     }
 
-    /// Number of view positions (rows).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the view has no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Dimensionality of the underlying dataset.
-    #[inline]
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// The object ids backing each view position.
-    #[inline]
-    pub fn ids(&self) -> &[ObjId] {
-        &self.ids
-    }
-
-    /// The object id at view position `p`.
-    #[inline]
-    pub fn id(&self, p: usize) -> ObjId {
-        self.ids[p]
-    }
-
-    /// The contiguous column of dimension `d`.
-    #[inline]
-    pub fn column(&self, d: usize) -> &[Value] {
-        &self.cols[d]
-    }
-
-    /// Object ids ascending by `(value in d, id)`. Only present on views
-    /// built with [`ColumnView::with_rank_orders`].
-    ///
-    /// # Panics
-    /// Panics if the view was built without rank orders.
+    /// Object ids ascending by `(value in d, id)`.
     #[inline]
     pub fn order(&self, d: usize) -> &[ObjId] {
         &self.orders[d]
     }
 
     /// Dense per-object ranks in dimension `d` (see
-    /// [`ColumnView::with_rank_orders`]). Indexed by object id; only present
-    /// on views built with `with_rank_orders`.
-    ///
-    /// # Panics
-    /// Panics if the view was built without rank orders.
+    /// [`ColumnView::with_rank_orders`]), indexed by object id.
     #[inline]
     pub fn rank(&self, d: usize) -> &[u32] {
         &self.ranks[d]
-    }
-
-    /// Batched `co(probe, ·)` row restricted to `space`: for every view
-    /// position `p`, `out[p] = { d ∈ space : probe[d] == value(p, d) }`.
-    pub fn equality_row(&self, probe: &[Value], space: DimMask, out: &mut Vec<DimMask>) {
-        out.clear();
-        out.resize(self.len(), DimMask::EMPTY);
-        self.equality_range(probe, space, 0..self.len(), out);
-    }
-
-    /// [`ColumnView::equality_row`] over view positions `range` only.
-    pub fn equality_range(
-        &self,
-        probe: &[Value],
-        space: DimMask,
-        range: Range<usize>,
-        out: &mut [DimMask],
-    ) {
-        for d in space.iter() {
-            let p = probe[d];
-            let bit = 1u32 << d;
-            for (m, &v) in out[range.clone()]
-                .iter_mut()
-                .zip(&self.cols[d][range.clone()])
-            {
-                m.0 |= bit * u32::from(p == v);
-            }
-        }
-    }
-
-    /// Batched comparison flags: for every view position `p`, `out[p]` is
-    /// the OR of [`FLAG_PROBE_BETTER`] / [`FLAG_CANDIDATE_BETTER`] over the
-    /// dimensions of `space` (feed through [`relation_from_flags`]).
-    pub fn compare_flags(&self, probe: &[Value], space: DimMask, out: &mut Vec<u8>) {
-        out.clear();
-        out.resize(self.len(), 0);
-        self.compare_flags_range(probe, space, 0..self.len(), out);
-    }
-
-    /// [`ColumnView::compare_flags`] over view positions `range` only.
-    pub fn compare_flags_range(
-        &self,
-        probe: &[Value],
-        space: DimMask,
-        range: Range<usize>,
-        out: &mut [u8],
-    ) {
-        for d in space.iter() {
-            let p = probe[d];
-            for (f, &v) in out[range.clone()]
-                .iter_mut()
-                .zip(&self.cols[d][range.clone()])
-            {
-                *f |= u8::from(p < v) | (u8::from(v < p) << 1);
-            }
-        }
-    }
-
-    /// Batched [`Dataset::compare`]: the probe's relation to every view
-    /// position, written into `out`.
-    pub fn compare_many(&self, probe: &[Value], space: DimMask, out: &mut Vec<DomRelation>) {
-        let mut flags = Vec::new();
-        self.compare_flags(probe, space, &mut flags);
-        out.clear();
-        out.extend(flags.iter().map(|&f| relation_from_flags(f)));
     }
 }
 
@@ -410,7 +192,9 @@ impl ColumnarWindow {
 
     /// One BNL step: admit the probe unless a member dominates it, evicting
     /// every member it dominates. Returns whether the probe entered the
-    /// window. Eviction uses `swap_remove`, matching the scalar BNL loop.
+    /// window. Window members are mutually non-dominating, so "a member
+    /// dominates the probe" and "the probe evicts a member" exclude each
+    /// other, and check-then-evict keeps exactly the BNL window set.
     pub fn admit(&mut self, id: ObjId, probe: &[Value], space: DimMask) -> bool {
         let n = self.ids.len();
         let mut flags = std::mem::take(&mut self.flags);
@@ -443,65 +227,6 @@ impl ColumnarWindow {
 mod tests {
     use super::*;
     use crate::dataset::running_example;
-
-    #[test]
-    fn kernel_knob_roundtrip() {
-        assert_eq!(DominanceKernel::default(), DominanceKernel::Columnar);
-        for k in DominanceKernel::ALL {
-            assert_eq!(DominanceKernel::parse(k.name()), Some(k));
-            assert_eq!(k.to_string(), k.name());
-        }
-        assert_eq!(
-            DominanceKernel::parse("SCALAR"),
-            Some(DominanceKernel::Scalar)
-        );
-        assert!(DominanceKernel::parse("rowwise").is_none());
-        assert!(DominanceKernel::Columnar.is_columnar());
-        assert!(!DominanceKernel::Scalar.is_columnar());
-    }
-
-    #[test]
-    fn equality_rows_match_scalar_comask() {
-        let ds = running_example();
-        let view = ColumnView::new(&ds);
-        let mut row = Vec::new();
-        for u in ds.ids() {
-            for space in [ds.full_space(), DimMask::parse("BD").unwrap()] {
-                view.equality_row(ds.row(u), space, &mut row);
-                for v in ds.ids() {
-                    assert_eq!(row[v as usize], ds.co_mask(u, v) & space, "u={u} v={v}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compare_many_matches_scalar_compare() {
-        let ds = running_example();
-        let view = ColumnView::new(&ds);
-        let mut rels = Vec::new();
-        for u in ds.ids() {
-            for space in [ds.full_space(), DimMask::parse("AC").unwrap()] {
-                view.compare_many(ds.row(u), space, &mut rels);
-                for v in ds.ids() {
-                    assert_eq!(rels[v as usize], ds.compare(u, v, space), "u={u} v={v}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn range_kernels_fill_only_their_chunk() {
-        let ds = running_example();
-        let view = ColumnView::new(&ds);
-        let mut whole = Vec::new();
-        view.equality_row(ds.row(1), ds.full_space(), &mut whole);
-        let mut chunked = vec![DimMask::EMPTY; view.len()];
-        view.equality_range(ds.row(1), ds.full_space(), 0..2, &mut chunked);
-        view.equality_range(ds.row(1), ds.full_space(), 2..view.len(), &mut chunked);
-        assert_eq!(chunked, whole);
-        assert_ne!(chunked, vec![DimMask::EMPTY; view.len()]);
-    }
 
     #[test]
     fn rank_orders_are_dense_and_value_consistent() {
@@ -571,19 +296,5 @@ mod tests {
         win.clear();
         assert!(win.is_empty());
         assert_eq!(win.len(), 0);
-    }
-
-    #[test]
-    fn relation_flags_cover_all_cases() {
-        assert_eq!(relation_from_flags(0), DomRelation::Equal);
-        assert_eq!(
-            relation_from_flags(FLAG_PROBE_BETTER),
-            DomRelation::Dominates
-        );
-        assert_eq!(
-            relation_from_flags(FLAG_CANDIDATE_BETTER),
-            DomRelation::DominatedBy
-        );
-        assert_eq!(relation_from_flags(3), DomRelation::Incomparable);
     }
 }

@@ -17,10 +17,7 @@ mod group;
 mod section;
 mod value;
 
-pub use columnar::{
-    relation_from_flags, ColumnView, ColumnarWindow, DominanceKernel, FLAG_CANDIDATE_BETTER,
-    FLAG_PROBE_BETTER,
-};
+pub use columnar::{ColumnView, ColumnarWindow};
 pub use dataset::{running_example, Dataset, DomRelation, ObjId};
 pub use dims::{DimIter, DimMask, SubsetIter, MAX_DIMS};
 pub use error::{Error, Result};

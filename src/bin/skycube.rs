@@ -63,8 +63,8 @@ commands:
   generate --dist <correlated|independent|anti-correlated> --count N --dims D
            [--seed S] --out FILE.csv
   generate --nba [--count N] [--seed S] --out FILE.csv
-  build    --data FILE.csv --out CUBE [--threads N] [--kernel scalar|columnar]
-           [--shards K] [--format text|binary] materialize the cube (Stellar);
+  build    --data FILE.csv --out CUBE [--threads N] [--shards K]
+           [--format text|binary]             materialize the cube (Stellar);
                                               --shards writes one cube per
                                               contiguous shard to OUT.shard0..K-1;
                                               --format binary ships the built
@@ -72,8 +72,8 @@ commands:
                                               later loads validate instead of
                                               rebuilding (all load paths
                                               auto-detect the format by magic)
-  stats    --data FILE.csv [--threads N] [--kernel scalar|columnar]
-           [--maintain N] [--shards K]        counts: seeds, groups, skycube size;
+  stats    --data FILE.csv [--threads N] [--maintain N] [--shards K]
+                                              counts: seeds, groups, skycube size;
                                               --maintain pushes N synthetic
                                               insert+delete pairs through the
                                               incremental maintenance path and
@@ -87,8 +87,8 @@ commands:
   query    --data FILE.csv [--cube CUBE.txt]  run a batch query workload
            [--source stellar|stellar-scan|skyey|subsky|subsky-anchored|direct]
            [--workload FILE|-] [--cache N] [--threads N] [--shards K]
-           [--kernel scalar|columnar] [--anchors N] [--stats]
-           [--deadline-ms MS] [--fallback] [--inject-faults SPEC]
+           [--anchors N] [--stats] [--deadline-ms MS] [--fallback]
+           [--inject-faults SPEC]
            workload lines: 'skyline ABD', 'member 17 ABD', 'count 17',
            'top 5'; blank lines and # comments are ignored; --workload -
            (the default) reads from stdin; --stats prints per-merge-route
@@ -107,8 +107,8 @@ commands:
   serve    --data FILE.csv [--socket PATH] [--listen HOST:PORT]
            [--wal PATH] [--checkpoint-every N] [--workers N]
            [--backlog N] [--io-timeout-ms MS] [--idle-timeout-ms MS]
-           [--threads N] [--cache N] [--kernel scalar|columnar]
-           [--deadline-ms MS] [--metrics] [--inject-faults SPEC]
+           [--threads N] [--cache N] [--deadline-ms MS] [--metrics]
+           [--inject-faults SPEC]
            resident daemon: builds the engine once, keeps the serving
            index, subspace cache and scratch pool warm, and answers
            the query protocol on stdin (and, with --socket /
@@ -148,19 +148,19 @@ type Opts = HashMap<String, String>;
 fn known_options(cmd: &str) -> Option<(&'static str, &'static str)> {
     Some(match cmd {
         "generate" => ("dist count dims seed out", "nba"),
-        "build" => ("data out threads kernel shards format", ""),
-        "stats" => ("data threads kernel maintain shards", ""),
+        "build" => ("data out threads shards format", ""),
+        "stats" => ("data threads maintain shards", ""),
         "skyline" => ("cube space", ""),
         "member" => ("cube object space", ""),
         "top" => ("cube k", ""),
         "query" => (
-            "data cube source workload cache threads shards kernel anchors \
-             deadline-ms inject-faults",
+            "data cube source workload cache threads shards anchors deadline-ms \
+             inject-faults",
             "stats fallback",
         ),
         "serve" => (
             "data socket listen wal checkpoint-every workers backlog io-timeout-ms \
-             idle-timeout-ms threads cache kernel deadline-ms inject-faults",
+             idle-timeout-ms threads cache deadline-ms inject-faults",
             "metrics",
         ),
         "connect" => ("socket tcp workload timeout-ms retries", ""),
@@ -238,8 +238,7 @@ fn load_cube(opts: &Opts) -> Result<CompressedSkylineCube, String> {
 }
 
 /// The Stellar runner for `--threads N` (default: one worker per core;
-/// `1` is the exact sequential path) and `--kernel scalar|columnar`
-/// (default: columnar).
+/// `1` is the exact sequential path).
 fn runner(opts: &Opts) -> Result<Stellar, String> {
     let mut runner = Stellar::new();
     if let Some(t) = opts.get("threads") {
@@ -248,11 +247,6 @@ fn runner(opts: &Opts) -> Result<Stellar, String> {
             return Err("--threads must be at least 1".to_owned());
         }
         runner = runner.with_threads(threads);
-    }
-    if let Some(k) = opts.get("kernel") {
-        let kernel = DominanceKernel::parse(k)
-            .ok_or_else(|| format!("bad --kernel {k:?} (expected scalar or columnar)"))?;
-        runner = runner.with_kernel(kernel);
     }
     Ok(runner)
 }
@@ -511,11 +505,6 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
         }
         None => Parallelism::available(),
     };
-    let kernel = match opts.get("kernel") {
-        Some(k) => DominanceKernel::parse(k)
-            .ok_or_else(|| format!("bad --kernel {k:?} (expected scalar or columnar)"))?,
-        None => DominanceKernel::default(),
-    };
     let cache = match opts.get("cache") {
         Some(n) => Some(num::<usize>(n, "cache capacity")?),
         None => None,
@@ -574,9 +563,9 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
             None => ShardedCube::build_with(&ds, shards, par, runner(opts)?),
         };
         return if source_name == "stellar" {
-            serve_workload(cube.source().with_kernel(kernel), &queries, &serving)
+            serve_workload(cube.source(), &queries, &serving)
         } else {
-            serve_workload(cube.scan_source().with_kernel(kernel), &queries, &serving)
+            serve_workload(cube.scan_source(), &queries, &serving)
         };
     }
 
@@ -608,9 +597,7 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
             let cube = stellar_cube_checked(opts, &serving, &stellar_cube, ds.as_ref())?;
             let indexed = IndexedCubeSource::new(&cube);
             let scan = ScanCubeSource::new(&cube);
-            let direct = ds
-                .as_ref()
-                .map(|d| DirectSource::new(d).with_kernel(kernel));
+            let direct = ds.as_ref().map(DirectSource::new);
             #[cfg(feature = "faults")]
             let faulty = skycube::serve::faults::FaultySource::new(&indexed, serving.plan);
             #[cfg(feature = "faults")]
@@ -633,12 +620,12 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
         }
         "skyey" => {
             let ds = load_data(opts)?;
-            let skycube = SkyCube::compute_with(&ds, kernel);
+            let skycube = SkyCube::compute(&ds);
             serve_workload(SkyCubeSource::new(&skycube, ds.len()), &queries, &serving)
         }
         "subsky" => {
             let ds = load_data(opts)?;
-            serve_workload(SubskySource::with_kernel(&ds, kernel), &queries, &serving)
+            serve_workload(SubskySource::new(&ds), &queries, &serving)
         }
         "subsky-anchored" => {
             let ds = load_data(opts)?;
@@ -654,11 +641,7 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
         }
         "direct" => {
             let ds = load_data(opts)?;
-            serve_workload(
-                DirectSource::new(&ds).with_kernel(kernel),
-                &queries,
-                &serving,
-            )
+            serve_workload(DirectSource::new(&ds), &queries, &serving)
         }
         other => Err(format!(
             "unknown --source {other:?} (expected stellar, stellar-scan, skyey, subsky, \

@@ -62,12 +62,10 @@ pub mod prelude {
     pub use skycube_skyey::{skyey_groups, SkyCube};
     pub use skycube_skyline::{skyline, skyline_parallel, Algorithm};
     pub use skycube_stellar::{
-        compute_cube, CompressedSkylineCube, GroupLattice, RelevanceStrategy, Stellar,
-        StellarEngine,
+        compute_cube, CompressedSkylineCube, GroupLattice, Stellar, StellarEngine,
     };
     pub use skycube_subsky::{AnchoredSubskyIndex, SubskyIndex};
     pub use skycube_types::{
-        running_example, ColumnView, Dataset, DimMask, DominanceKernel, ObjId, Order, SkylineGroup,
-        Value,
+        running_example, ColumnView, Dataset, DimMask, ObjId, Order, SkylineGroup, Value,
     };
 }

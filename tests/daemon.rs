@@ -1,11 +1,11 @@
 //! Integration tests for the resident serve daemon: concurrent socket
-//! clients must see byte-identical answers to a one-shot [`run_batch`],
-//! across dominance kernels and thread counts, and a mid-stream mutation
-//! must bump the generation and refresh every subsequent answer.
+//! clients must see byte-identical answers to a one-shot [`run_batch`]
+//! at any thread count, and a mid-stream mutation must bump the
+//! generation and refresh every subsequent answer.
 
 use skycube::prelude::*;
 use skycube::stellar::Stellar;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -24,10 +24,10 @@ const WORKLOAD: &str = "skyline ABD\nskyline BD\nskyband 1 AB\nskyband 2 BD\n\
 /// The reference transcript: the same workload through the one-shot batch
 /// path (indexed cube + direct fallback), rendered by [`format_answer`] —
 /// exactly what the daemon's protocol replies must equal, byte for byte.
-fn expected_transcript(ds: &Dataset, kernel: DominanceKernel) -> String {
-    let cube = Stellar::new().with_kernel(kernel).compute(ds);
+fn expected_transcript(ds: &Dataset) -> String {
+    let cube = Stellar::new().compute(ds);
     let indexed = IndexedCubeSource::new(&cube);
-    let direct = DirectSource::new(ds).with_kernel(kernel);
+    let direct = DirectSource::new(ds);
     let ladder = FallbackSource::new(&indexed).then(&direct);
     let queries = parse_workload(WORKLOAD).unwrap();
     let outcome = run_batch(&ladder, &queries, Parallelism::sequential());
@@ -42,11 +42,10 @@ fn expected_transcript(ds: &Dataset, kernel: DominanceKernel) -> String {
 /// socket is accepting.
 fn start_daemon(
     ds: &Dataset,
-    kernel: DominanceKernel,
     threads: usize,
     name: &str,
 ) -> (Arc<Daemon>, PathBuf, std::thread::JoinHandle<()>) {
-    let engine = StellarEngine::with_runner(ds, Stellar::new().with_kernel(kernel));
+    let engine = StellarEngine::new(ds);
     let config = DaemonConfig {
         threads: Parallelism::new(threads),
         ..DaemonConfig::default()
@@ -59,14 +58,28 @@ fn start_daemon(
     let listener = Arc::clone(&daemon);
     let at = path.clone();
     let handle = std::thread::spawn(move || listener.listen_unix(&at).expect("listener failed"));
+    // The socket file appears at bind(2), before listen(2), and a connect
+    // in between is refused; so readiness is a connect that succeeds. The
+    // probe is an empty connection, read to its end so that the daemon has
+    // counted it before this returns.
     for _ in 0..1000 {
-        if path.exists() {
-            break;
+        match UnixStream::connect(&path) {
+            Ok(mut probe) => {
+                probe
+                    .shutdown(std::net::Shutdown::Write)
+                    .expect("half-close probe");
+                probe
+                    .read_to_string(&mut String::new())
+                    .expect("drain probe");
+                return (daemon, path, handle);
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::ConnectionRefused | ErrorKind::NotFound) => {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) => panic!("probing {path:?}: {e}"),
         }
-        std::thread::sleep(std::time::Duration::from_millis(2));
     }
-    assert!(path.exists(), "daemon never bound {path:?}");
-    (daemon, path, handle)
+    panic!("daemon never accepted on {path:?}");
 }
 
 /// One client exchange: send `input`, half-close, read the full reply.
@@ -90,41 +103,38 @@ fn shut_down(daemon: &Arc<Daemon>, path: &Path, handle: std::thread::JoinHandle<
 }
 
 #[test]
-fn concurrent_socket_clients_match_run_batch_across_kernels_and_threads() {
+fn concurrent_socket_clients_match_run_batch_across_threads() {
     let ds = dataset();
-    for kernel in ["scalar", "columnar"] {
-        let kernel = DominanceKernel::parse(kernel).unwrap();
-        let expect = expected_transcript(&ds, kernel);
-        for threads in [1usize, 4] {
-            let name = format!("match-{kernel:?}-{threads}").to_lowercase();
-            let (daemon, path, handle) = start_daemon(&ds, kernel, threads, &name);
-            let clients: Vec<_> = (0..4)
-                .map(|_| {
-                    let path = path.clone();
-                    std::thread::spawn(move || roundtrip(&path, WORKLOAD))
-                })
-                .collect();
-            for client in clients {
-                let transcript = client.join().expect("client thread");
-                assert_eq!(
-                    transcript, expect,
-                    "daemon transcript diverged from run_batch (kernel {kernel:?}, {threads} threads)"
-                );
-            }
-            let metrics = daemon.metrics();
-            assert_eq!(metrics.connections, 4);
-            assert_eq!(metrics.queries, 4 * 8);
-            assert_eq!(metrics.errors, 0);
-            shut_down(&daemon, &path, handle);
+    let expect = expected_transcript(&ds);
+    for threads in [1usize, 4] {
+        let name = format!("match-{threads}");
+        let (daemon, path, handle) = start_daemon(&ds, threads, &name);
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                let path = path.clone();
+                std::thread::spawn(move || roundtrip(&path, WORKLOAD))
+            })
+            .collect();
+        for client in clients {
+            let transcript = client.join().expect("client thread");
+            assert_eq!(
+                transcript, expect,
+                "daemon transcript diverged from run_batch ({threads} threads)"
+            );
         }
+        let metrics = daemon.metrics();
+        // The four clients plus the readiness probe.
+        assert_eq!(metrics.connections, 1 + 4);
+        assert_eq!(metrics.queries, 4 * 8);
+        assert_eq!(metrics.errors, 0);
+        shut_down(&daemon, &path, handle);
     }
 }
 
 #[test]
 fn midstream_insert_bumps_generation_and_refreshes_answers() {
     let ds = dataset();
-    let kernel = DominanceKernel::default();
-    let (daemon, path, handle) = start_daemon(&ds, kernel, 1, "maintain");
+    let (daemon, path, handle) = start_daemon(&ds, 1, "maintain");
     let before = roundtrip(&path, "skyline A\n");
 
     // The expected post-insert answer, computed on an independent engine
@@ -170,7 +180,7 @@ fn midstream_insert_bumps_generation_and_refreshes_answers() {
 #[test]
 fn quit_closes_one_connection_and_the_daemon_survives() {
     let ds = dataset();
-    let (daemon, path, handle) = start_daemon(&ds, DominanceKernel::default(), 1, "quit");
+    let (daemon, path, handle) = start_daemon(&ds, 1, "quit");
     let reply = roundtrip(&path, "skyline A\nquit\nskyline BD\n");
     assert!(reply.starts_with("skyline A -> "), "{reply:?}");
     assert!(
@@ -246,7 +256,7 @@ fn shut_down_bound(daemon: &Arc<Daemon>, path: &Path, handle: std::thread::JoinH
 #[test]
 fn tcp_and_unix_clients_get_identical_transcripts() {
     let ds = dataset();
-    let expect = expected_transcript(&ds, DominanceKernel::default());
+    let expect = expected_transcript(&ds);
     let (daemon, path, addr, handle) = start_bound(&ds, PoolConfig::default(), "tcp");
     let over_tcp = tcp_roundtrip(addr, WORKLOAD);
     let over_unix = roundtrip(&path, WORKLOAD);
@@ -315,7 +325,7 @@ fn idle_connections_are_reaped_after_the_idle_timeout() {
 #[test]
 fn shutdown_drains_inflight_connections_without_dropping_queries() {
     let ds = dataset();
-    let expect = expected_transcript(&ds, DominanceKernel::default());
+    let expect = expected_transcript(&ds);
     let pool = PoolConfig {
         workers: 1,
         ..PoolConfig::default()

@@ -205,61 +205,58 @@ proptest! {
         ops in vec((0u8..2, vec(0..6i64, 4), 0usize..4096), 1..10),
     ) {
         // The incremental-maintenance contract, end to end: a mixed
-        // insert/delete stream driven through StellarEngine — across both
-        // dominance kernels and sequential/parallel runners — leaves the
+        // insert/delete stream driven through StellarEngine — under
+        // sequential and parallel runners — leaves the
         // patched cube identical (groups, seeds, every subspace skyline) to
         // a from-scratch rebuild, and a generation-gated SubspaceCache never
         // serves a pre-mutation skyline after selective invalidation.
         use skycube::serve::{GenerationGate, SubspaceCache};
         let dims = ds.dims();
-        for kernel in DominanceKernel::ALL {
-            for threads in [1usize, 4] {
-                let runner = Stellar::new().with_kernel(kernel).with_threads(threads);
-                let mut engine = StellarEngine::with_runner(&ds, runner);
-                engine.cube().index(); // so fast paths splice rather than drop
-                let cache = SubspaceCache::new(1 << dims);
-                let gate = GenerationGate::new(engine.generation());
-                let warm = |cache: &SubspaceCache, engine: &StellarEngine| {
-                    for space in ds.full_space().subsets() {
-                        cache.put(space, engine.cube().subspace_skyline(space));
-                    }
-                };
-                warm(&cache, &engine);
-                for (is_insert, row, pick) in &ops {
-                    if *is_insert == 1 || engine.len() <= 1 {
-                        let row: Vec<Value> = row.iter().copied().take(dims)
-                            .chain(std::iter::repeat(0))
-                            .take(dims)
-                            .collect();
-                        engine.insert(row).unwrap();
-                    } else {
-                        engine.delete((pick % engine.len()) as ObjId).unwrap();
-                    }
-                    gate.sync(engine.generation(), engine.last_delta(), &cache);
-                    // Patched cube == from-scratch rebuild.
-                    let scratch = compute_cube(&engine.dataset());
-                    prop_assert_eq!(engine.cube().seeds(), scratch.seeds(),
-                        "seeds, {} threads under {}", threads, kernel.name());
-                    prop_assert_eq!(
-                        skycube_types::normalize_groups(engine.cube().groups().to_vec()),
-                        skycube_types::normalize_groups(scratch.groups().to_vec()),
-                        "groups, {} threads under {}", threads, kernel.name()
-                    );
-                    // Cache freshness: whatever survived selective
-                    // invalidation (or the clear) must equal the
-                    // post-mutation skyline — stale answers are forbidden.
-                    for space in ds.full_space().subsets() {
-                        if let Some(sky) = cache.get(space) {
-                            prop_assert_eq!(
-                                sky, engine.cube().subspace_skyline(space),
-                                "stale cache entry for {} at generation {}, \
-                                 {} threads under {}",
-                                space, engine.generation(), threads, kernel.name()
-                            );
-                        }
-                    }
-                    warm(&cache, &engine);
+        for threads in [1usize, 4] {
+            let runner = Stellar::new().with_threads(threads);
+            let mut engine = StellarEngine::with_runner(&ds, runner);
+            engine.cube().index(); // so fast paths splice rather than drop
+            let cache = SubspaceCache::new(1 << dims);
+            let gate = GenerationGate::new(engine.generation());
+            let warm = |cache: &SubspaceCache, engine: &StellarEngine| {
+                for space in ds.full_space().subsets() {
+                    cache.put(space, engine.cube().subspace_skyline(space));
                 }
+            };
+            warm(&cache, &engine);
+            for (is_insert, row, pick) in &ops {
+                if *is_insert == 1 || engine.len() <= 1 {
+                    let row: Vec<Value> = row.iter().copied().take(dims)
+                        .chain(std::iter::repeat(0))
+                        .take(dims)
+                        .collect();
+                    engine.insert(row).unwrap();
+                } else {
+                    engine.delete((pick % engine.len()) as ObjId).unwrap();
+                }
+                gate.sync(engine.generation(), engine.last_delta(), &cache);
+                // Patched cube == from-scratch rebuild.
+                let scratch = compute_cube(&engine.dataset());
+                prop_assert_eq!(engine.cube().seeds(), scratch.seeds(),
+                    "seeds, {} threads", threads);
+                prop_assert_eq!(
+                    skycube_types::normalize_groups(engine.cube().groups().to_vec()),
+                    skycube_types::normalize_groups(scratch.groups().to_vec()),
+                    "groups, {} threads", threads
+                );
+                // Cache freshness: whatever survived selective
+                // invalidation (or the clear) must equal the
+                // post-mutation skyline — stale answers are forbidden.
+                for space in ds.full_space().subsets() {
+                    if let Some(sky) = cache.get(space) {
+                        prop_assert_eq!(
+                            sky, engine.cube().subspace_skyline(space),
+                            "stale cache entry for {} at generation {}, {} threads",
+                            space, engine.generation(), threads
+                        );
+                    }
+                }
+                warm(&cache, &engine);
             }
         }
     }
@@ -360,30 +357,6 @@ proptest! {
     }
 
     #[test]
-    fn columnar_row_kernels_match_scalar(
-        ds in paper_dataset(),
-        raw in 0u32..64,
-        pick in 0usize..4096,
-    ) {
-        use skycube::types::DomRelation;
-        let space = DimMask(raw) & ds.full_space();
-        let view = ColumnView::new(&ds);
-        let u = (pick % ds.len()) as ObjId;
-        let (mut eq, mut rel) = (Vec::new(), Vec::new());
-        view.equality_row(ds.row(u), space, &mut eq);
-        view.compare_many(ds.row(u), space, &mut rel);
-        for (p, v) in ds.ids().enumerate() {
-            prop_assert_eq!(eq[p], ds.co_mask(u, v) & space, "co u={} v={}", u, v);
-            prop_assert_eq!(rel[p], ds.compare(u, v, space), "rel u={} v={}", u, v);
-            prop_assert_eq!(
-                rel[p] == DomRelation::Dominates,
-                ds.dominates(u, v, space)
-            );
-            prop_assert_eq!(eq[p] == space, ds.coincides(u, v, space));
-        }
-    }
-
-    #[test]
     fn seed_view_rank_rows_match_scalar(ds in dataset(5, 30, 4), pick in 0usize..4096) {
         // Every object is a seed here, so rows cover tied and dominated
         // pairs alike; the dominance row sweeps rank columns and the
@@ -409,81 +382,21 @@ proptest! {
     }
 
     #[test]
-    fn skyline_engines_agree_across_kernels(ds in paper_dataset(), raw in 0u32..64) {
+    fn skyline_engines_agree_on_any_subspace(ds in paper_dataset(), raw in 0u32..64) {
         let space = match DimMask(raw) & ds.full_space() {
             m if m.is_empty() => ds.full_space(),
             m => m,
         };
         let expect = Algorithm::Naive.run(&ds, space);
         for alg in Algorithm::ALL {
-            for kernel in DominanceKernel::ALL {
-                prop_assert_eq!(
-                    alg.run_with(&ds, space, kernel),
-                    expect.clone(),
-                    "{} under {}", alg.name(), kernel.name()
-                );
-            }
+            prop_assert_eq!(alg.run(&ds, space), expect.clone(), "{}", alg.name());
         }
         for threads in [1usize, 2, 4] {
-            for kernel in DominanceKernel::ALL {
-                prop_assert_eq!(
-                    skycube::algorithms::skyline_parallel_with(
-                        &ds, space, Parallelism::new(threads), kernel),
-                    expect.clone(),
-                    "parallel, {} threads under {}", threads, kernel.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stellar_cube_identical_across_kernels(ds in paper_dataset()) {
-        let base = Stellar::new()
-            .with_kernel(DominanceKernel::Scalar)
-            .with_threads(1)
-            .compute(&ds);
-        let base_groups = skycube_types::normalize_groups(base.groups().to_vec());
-        for threads in [1usize, 2, 4] {
-            for kernel in DominanceKernel::ALL {
-                let cube = Stellar::new()
-                    .with_kernel(kernel)
-                    .with_threads(threads)
-                    .compute(&ds);
-                prop_assert_eq!(
-                    cube.seeds(), base.seeds(),
-                    "seeds, {} threads under {}", threads, kernel.name()
-                );
-                prop_assert_eq!(
-                    skycube_types::normalize_groups(cube.groups().to_vec()),
-                    base_groups.clone(),
-                    "groups, {} threads under {}", threads, kernel.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn skyey_identical_across_kernels(ds in paper_dataset()) {
-        let base_seq = skycube::skyey::subspace_skylines_par_with(
-            &ds, Parallelism::new(1), DominanceKernel::Scalar);
-        let base_groups = skycube_types::normalize_groups(
-            skycube::skyey::skyey_groups_with(&ds, DominanceKernel::Scalar));
-        for threads in [1usize, 2, 4] {
-            for kernel in DominanceKernel::ALL {
-                prop_assert_eq!(
-                    skycube::skyey::subspace_skylines_par_with(
-                        &ds, Parallelism::new(threads), kernel),
-                    base_seq.clone(),
-                    "visitation, {} threads under {}", threads, kernel.name()
-                );
-                prop_assert_eq!(
-                    skycube_types::normalize_groups(
-                        skycube::skyey::skyey_groups_par_with(
-                            &ds, Parallelism::new(threads), kernel)),
-                    base_groups.clone(),
-                    "groups, {} threads under {}", threads, kernel.name()
-                );
-            }
+            prop_assert_eq!(
+                skyline_parallel(&ds, space, Parallelism::new(threads)),
+                expect.clone(),
+                "parallel, {} threads", threads
+            );
         }
     }
 
@@ -492,66 +405,63 @@ proptest! {
         // The serve-layer contract: every SkylineSource implementation —
         // indexed cube, scan-path cube, materialized SkyCube, single- and
         // multi-anchor SUBSKY indexes, direct computation — and the legacy
-        // cube query path answer every query family identically, under
-        // either dominance kernel.
+        // cube query path answer every query family identically.
         use skycube::serve::{
             AnchoredSubskySource, DirectSource, IndexedCubeSource, ScanCubeSource, SkyCubeSource,
             SkylineSource, SubskySource,
         };
         let cube = compute_cube(&ds);
-        for kernel in DominanceKernel::ALL {
-            let skycube = SkyCube::compute_with(&ds, kernel);
-            let indexed = IndexedCubeSource::new(&cube);
-            let scan = ScanCubeSource::new(&cube);
-            let skyey = SkyCubeSource::new(&skycube, ds.len());
-            let subsky = SubskySource::with_kernel(&ds, kernel);
-            let anchored = AnchoredSubskySource::new(&ds);
-            let direct = DirectSource::new(&ds).with_kernel(kernel);
-            let sources: [&dyn SkylineSource; 6] =
-                [&indexed, &scan, &skyey, &subsky, &anchored, &direct];
-            for space in ds.full_space().subsets() {
-                // Oracle: the naive skyline; legacy scan path must match too.
-                let expect = skycube::algorithms::skyline_naive(&ds, space);
-                prop_assert_eq!(&cube.subspace_skyline(space), &expect);
-                for s in sources {
-                    prop_assert_eq!(
-                        &s.subspace_skyline(space).unwrap(), &expect,
-                        "{} subspace {} under {}", s.label(), space, kernel.name()
-                    );
-                }
-            }
-            // Membership probes on a sample of objects (subsky/direct pay
-            // a full subspace enumeration per count).
-            let probes = [0, (ds.len() as ObjId) / 2, ds.len() as ObjId - 1];
-            let space = ds.full_space();
-            for &o in &probes {
-                let expect = cube.is_skyline_in(o, space);
-                let count = cube.membership_count(o);
-                for s in sources {
-                    prop_assert_eq!(
-                        s.is_skyline_in(o, space).unwrap(), expect,
-                        "{} object {} under {}", s.label(), o, kernel.name()
-                    );
-                    prop_assert_eq!(
-                        s.membership_count(o).unwrap(), count,
-                        "{} object {} under {}", s.label(), o, kernel.name()
-                    );
-                }
-            }
-            let expect = cube.top_k_frequent(5);
+        let skycube = SkyCube::compute(&ds);
+        let indexed = IndexedCubeSource::new(&cube);
+        let scan = ScanCubeSource::new(&cube);
+        let skyey = SkyCubeSource::new(&skycube, ds.len());
+        let subsky = SubskySource::new(&ds);
+        let anchored = AnchoredSubskySource::new(&ds);
+        let direct = DirectSource::new(&ds);
+        let sources: [&dyn SkylineSource; 6] =
+            [&indexed, &scan, &skyey, &subsky, &anchored, &direct];
+        for space in ds.full_space().subsets() {
+            // Oracle: the naive skyline; legacy scan path must match too.
+            let expect = skycube::algorithms::skyline_naive(&ds, space);
+            prop_assert_eq!(&cube.subspace_skyline(space), &expect);
             for s in sources {
                 prop_assert_eq!(
-                    s.top_k_frequent(5), expect.clone(),
-                    "{} under {}", s.label(), kernel.name()
+                    &s.subspace_skyline(space).unwrap(), &expect,
+                    "{} subspace {}", s.label(), space
                 );
             }
+        }
+        // Membership probes on a sample of objects (subsky/direct pay
+        // a full subspace enumeration per count).
+        let probes = [0, (ds.len() as ObjId) / 2, ds.len() as ObjId - 1];
+        let space = ds.full_space();
+        for &o in &probes {
+            let expect = cube.is_skyline_in(o, space);
+            let count = cube.membership_count(o);
+            for s in sources {
+                prop_assert_eq!(
+                    s.is_skyline_in(o, space).unwrap(), expect,
+                    "{} object {}", s.label(), o
+                );
+                prop_assert_eq!(
+                    s.membership_count(o).unwrap(), count,
+                    "{} object {}", s.label(), o
+                );
+            }
+        }
+        let expect = cube.top_k_frequent(5);
+        for s in sources {
+            prop_assert_eq!(
+                s.top_k_frequent(5), expect.clone(),
+                "{}", s.label()
+            );
         }
     }
 
     #[test]
     fn cold_and_memo_warm_index_agree_with_scan(ds in paper_dataset()) {
-        // The index's contract: for every subspace of a cube built under
-        // either dominance kernel and any thread count, the cold index
+        // The index's contract: for every subspace of a cube built at any
+        // thread count, the cold index
         // (memo emptied before each query, so the posting prefilter runs)
         // and the memo-warm index equal the cube's scan path, through
         // both merge routes, and the scan path equals the naive skyline.
@@ -564,39 +474,33 @@ proptest! {
             .iter()
             .map(|&space| skycube::algorithms::skyline_naive(&ds, space))
             .collect();
-        for kernel in DominanceKernel::ALL {
-            for threads in [1usize, 4] {
-                let cube = Stellar::new()
-                    .with_kernel(kernel)
-                    .with_threads(threads)
-                    .compute(&ds);
+        for threads in [1usize, 4] {
+            let cube = Stellar::new().with_threads(threads).compute(&ds);
+            for (&space, expect) in spaces.iter().zip(&naive) {
+                prop_assert_eq!(
+                    &cube.subspace_skyline(space), expect,
+                    "scan on {} at {} threads", space, threads
+                );
+            }
+            let index = CubeIndex::build(&cube);
+            let mut scratch = IndexScratch::default();
+            let mut out = Vec::new();
+            for pass in ["cold", "warming", "memo-warm"] {
                 for (&space, expect) in spaces.iter().zip(&naive) {
-                    prop_assert_eq!(
-                        &cube.subspace_skyline(space), expect,
-                        "scan on {} under {} × {} threads", space, kernel.name(), threads
-                    );
-                }
-                let index = CubeIndex::build(&cube);
-                let mut scratch = IndexScratch::default();
-                let mut out = Vec::new();
-                for pass in ["cold", "warming", "memo-warm"] {
-                    for (&space, expect) in spaces.iter().zip(&naive) {
-                        if pass == "cold" {
-                            index.invalidate_memo();
-                        }
-                        let probe = index
-                            .try_subspace_skyline_into(space, &mut scratch, &mut out)
-                            .unwrap();
-                        if pass == "cold" {
-                            prop_assert_eq!(probe.memo, MemoOutcome::Miss);
-                        }
-                        prop_assert_eq!(
-                            &out, expect,
-                            "{} (route {}, memo {}) on {} under {} × {} threads",
-                            pass, probe.route.name(), probe.memo.name(), space,
-                            kernel.name(), threads
-                        );
+                    if pass == "cold" {
+                        index.invalidate_memo();
                     }
+                    let probe = index
+                        .try_subspace_skyline_into(space, &mut scratch, &mut out)
+                        .unwrap();
+                    if pass == "cold" {
+                        prop_assert_eq!(probe.memo, MemoOutcome::Miss);
+                    }
+                    prop_assert_eq!(
+                        &out, expect,
+                        "{} (route {}, memo {}) on {} at {} threads",
+                        pass, probe.route.name(), probe.memo.name(), space, threads
+                    );
                 }
             }
         }
@@ -649,44 +553,39 @@ proptest! {
     fn sharded_source_equals_direct(ds in paper_dataset(), shards in 1usize..6) {
         // The sharding contract: merge-at-query over K per-shard cubes is
         // answer-identical to direct computation for every query family,
-        // across distributions (the strategy), dominance kernels, and
-        // worker counts — in both indexed and scan serving modes.
+        // across distributions (the strategy) and worker counts — in both
+        // indexed and scan serving modes.
         use skycube::serve::{DirectSource, SkylineSource};
-        for kernel in DominanceKernel::ALL {
-            for threads in [1usize, 4] {
-                let runner = Stellar::new().with_kernel(kernel).with_threads(threads);
-                let cube = ShardedCube::build_with(&ds, shards, Parallelism::new(threads), runner);
-                let direct = DirectSource::new(&ds).with_kernel(kernel);
-                for source in [cube.source(), cube.scan_source()] {
-                    let source = source.with_kernel(kernel);
-                    for space in ds.full_space().subsets() {
-                        prop_assert_eq!(
-                            source.subspace_skyline(space).unwrap(),
-                            direct.subspace_skyline(space).unwrap(),
-                            "{} K={} subspace {} under {} at {} threads",
-                            source.label(), shards, space, kernel.name(), threads
-                        );
-                    }
-                    let probes = [0, (ds.len() as ObjId) / 2, ds.len() as ObjId - 1];
-                    for &o in &probes {
-                        prop_assert_eq!(
-                            source.is_skyline_in(o, ds.full_space()).unwrap(),
-                            direct.is_skyline_in(o, ds.full_space()).unwrap(),
-                            "{} K={} member {} under {}",
-                            source.label(), shards, o, kernel.name()
-                        );
-                        prop_assert_eq!(
-                            source.membership_count(o).unwrap(),
-                            direct.membership_count(o).unwrap(),
-                            "{} K={} count {} under {}",
-                            source.label(), shards, o, kernel.name()
-                        );
-                    }
+        for threads in [1usize, 4] {
+            let runner = Stellar::new().with_threads(threads);
+            let cube = ShardedCube::build_with(&ds, shards, Parallelism::new(threads), runner);
+            let direct = DirectSource::new(&ds);
+            for source in [cube.source(), cube.scan_source()] {
+                for space in ds.full_space().subsets() {
                     prop_assert_eq!(
-                        source.top_k_frequent(5), direct.top_k_frequent(5),
-                        "{} K={} under {}", source.label(), shards, kernel.name()
+                        source.subspace_skyline(space).unwrap(),
+                        direct.subspace_skyline(space).unwrap(),
+                        "{} K={} subspace {} at {} threads",
+                        source.label(), shards, space, threads
                     );
                 }
+                let probes = [0, (ds.len() as ObjId) / 2, ds.len() as ObjId - 1];
+                for &o in &probes {
+                    prop_assert_eq!(
+                        source.is_skyline_in(o, ds.full_space()).unwrap(),
+                        direct.is_skyline_in(o, ds.full_space()).unwrap(),
+                        "{} K={} member {}", source.label(), shards, o
+                    );
+                    prop_assert_eq!(
+                        source.membership_count(o).unwrap(),
+                        direct.membership_count(o).unwrap(),
+                        "{} K={} count {}", source.label(), shards, o
+                    );
+                }
+                prop_assert_eq!(
+                    source.top_k_frequent(5), direct.top_k_frequent(5),
+                    "{} K={}", source.label(), shards
+                );
             }
         }
     }
@@ -792,11 +691,22 @@ proptest! {
 
     #[test]
     fn parallel_skyey_equals_sequential(ds in paper_dataset()) {
+        let mut seq_visits: Vec<(DimMask, Vec<ObjId>)> = Vec::new();
+        skycube::skyey::for_each_subspace_skyline(&ds, |space, sky| {
+            seq_visits.push((space, sky.to_vec()));
+        });
         let seq_groups = skycube_types::normalize_groups(skyey_groups(&ds));
         let seq_total = skycube::skyey::skycube_total_size(&ds);
         let seq_by_k = skycube::skyey::skycube_sizes_by_dimensionality(&ds);
         for threads in [1usize, 2, 4] {
             let par = Parallelism::new(threads);
+            // The branch fan-out visits the same subspaces with the same
+            // skylines in the same scan order.
+            prop_assert_eq!(
+                skycube::skyey::subspace_skylines_par(&ds, par),
+                seq_visits.clone(),
+                "visitation, {} threads", threads
+            );
             prop_assert_eq!(
                 skycube_types::normalize_groups(skycube::skyey::skyey_groups_par(&ds, par)),
                 seq_groups.clone(),
@@ -906,13 +816,12 @@ proptest! {
     /// subspace skyline, membership, count, and top-k exactly like the cube
     /// it was written from, with identical per-query routing; the
     /// text-loaded cube (which rebuilds) must agree too. Holds across the
-    /// paper's distributions × both dominance kernels, and survives
-    /// post-load maintenance (insert + delete) on the adopted engine.
+    /// paper's distributions, and survives post-load maintenance (insert +
+    /// delete) on the adopted engine.
     #[test]
-    fn binary_loaded_cube_equals_built(ds in paper_dataset(), scalar in 0u8..2) {
+    fn binary_loaded_cube_equals_built(ds in paper_dataset()) {
         use skycube::stellar::IndexScratch;
-        let kernel = if scalar == 1 { DominanceKernel::Scalar } else { DominanceKernel::Columnar };
-        let cube = Stellar::new().with_kernel(kernel).compute(&ds);
+        let cube = compute_cube(&ds);
 
         let mut bin = Vec::new();
         skycube::stellar::write_cube_binary(&cube, &mut bin).unwrap();
@@ -955,8 +864,7 @@ proptest! {
 
         // Post-load maintenance: a dominated insert and a delete through the
         // adopted engine stay equivalent to recomputation from scratch.
-        let mut engine =
-            StellarEngine::with_cube(&ds, loaded, Stellar::new().with_kernel(kernel)).unwrap();
+        let mut engine = StellarEngine::with_cube(&ds, loaded, Stellar::new()).unwrap();
         let worst = 1 + ds.ids().flat_map(|o| ds.row(o).iter().copied())
             .fold(Value::MIN, Value::max);
         if worst > Value::MIN {
@@ -965,7 +873,7 @@ proptest! {
         if engine.len() > 1 {
             engine.delete(0).unwrap();
         }
-        let fresh = Stellar::new().with_kernel(kernel).compute(&engine.dataset());
+        let fresh = compute_cube(&engine.dataset());
         for space in ds.full_space().subsets() {
             prop_assert_eq!(
                 engine.cube().subspace_skyline(space),
