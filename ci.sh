@@ -12,6 +12,12 @@ echo '== tier-1: build + test (every crate of the workspace)'
 cargo build --release
 cargo test --workspace -q
 
+echo '== oracle at workload scale: every build pipeline equals Skyey'
+# Stellar at 1 and 2 threads, the engine and its binary round trip, each
+# compared with Skyey's definition-level groups on anti-correlated and
+# independent 100k × 5 and correlated 20k × 10 data.
+cargo test --release --test oracle_scale -- --ignored
+
 echo '== bench harness bins (figure and ablation rot gate)'
 cargo build --release -p skycube-bench --bins
 
@@ -72,6 +78,41 @@ if ! grep -q -- '--shards must be at least 1' "$SMOKE_DIR/shards0.err"; then
     echo "query smoke: --shards 0 diagnostic missing" >&2
     exit 1
 fi
+
+echo '== byte-identity gate: skycube build output is unchanged'
+# The sha256 of the text cube, at default threads and at --threads 1, and
+# of the binary cube, for one generated 2,000 × 5 dataset per
+# distribution. A change that means to alter answers updates these values
+# and says why in CHANGES.md.
+check_sha256() {
+    got=$(sha256sum "$1" | cut -d ' ' -f 1)
+    if [ "$got" != "$2" ]; then
+        echo "byte-identity gate: $1 has sha256 $got, expected $2" >&2
+        exit 1
+    fi
+}
+hash_gate() {
+    csv="$SMOKE_DIR/hash-$1.csv"
+    ./target/release/skycube generate --dist "$1" --count 2000 --dims 5 \
+        --seed 7 --out "$csv" > /dev/null
+    ./target/release/skycube build --data "$csv" --out "$csv.txt" > /dev/null
+    ./target/release/skycube build --data "$csv" --out "$csv.t1.txt" \
+        --threads 1 > /dev/null
+    ./target/release/skycube build --data "$csv" --out "$csv.bin" \
+        --format binary > /dev/null
+    check_sha256 "$csv.txt" "$2"
+    check_sha256 "$csv.t1.txt" "$2"
+    check_sha256 "$csv.bin" "$3"
+}
+hash_gate correlated \
+    20e4a8ae5f1078a539e64d9be96f7b47a17202f4a4e4efc414c7b4aeb4301f1f \
+    0630e624ff38679956034447294b90db4aab012ab7982601786b314dd99e0e69
+hash_gate independent \
+    59716d45b9390c2e64692d9bc65d94c2d92c4417186eeb91bfe2e4dc642b408a \
+    0627a43697dedbc92aa86e661f406c6233102cb9423d8ba3ecea50e22b4c3544
+hash_gate anti-correlated \
+    bfe1e497cacf00267665cba6cf9699c202885e00418cd6d75a162de05bc2f845 \
+    9d53f3a66cca019b22c42f550cc6a90b41a5cea8158efe007a1af8453877b863
 
 echo '== queries bench smoke: indexed == scan + memo self-verify'
 # --verify asserts indexed == scan, zero demotions behind the fallback

@@ -15,6 +15,7 @@
 use skycube::datagen;
 use skycube::prelude::*;
 use skycube::stellar;
+use skycube::types::MAX_DIMS;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -222,6 +223,11 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
         };
         let count: usize = num(req(opts, "count")?, "count")?;
         let dims: usize = num(req(opts, "dims")?, "dims")?;
+        if !(1..=MAX_DIMS).contains(&dims) {
+            return Err(format!(
+                "--dims must be between 1 and {MAX_DIMS}, got {dims}"
+            ));
+        }
         generate(dist, count, dims, seed)
     };
     datagen::save_csv(&ds, out).map_err(|e| e.to_string())?;
