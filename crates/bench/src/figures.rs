@@ -568,7 +568,7 @@ pub fn queries_ablation(args: &HarnessArgs) -> Vec<JsonRecord> {
 /// The dataset plants `m` anti-correlated anchors and fills each of `M`
 /// chunks with rows strictly dominated by a chunk-local anchor. With
 /// contiguous range sharding aligned to the chunk grid, each shard's
-/// SFS window holds only its own `m/K` anchors, so the dominance-test
+/// skyline filter window holds only its own `m/K` anchors, so the dominance-test
 /// volume shrinks by ~K — an honest single-core speedup source (this
 /// box has one core; thread counts are recorded, not exploited). Every
 /// sharded source is answer-checked against the K=1 reference across
@@ -599,7 +599,7 @@ pub fn sharded_ablation(args: &HarnessArgs) -> Vec<JsonRecord> {
     let par = Parallelism::available();
     let runner = Stellar::new();
     println!(
-        "workers: {} (build speedup comes from shard-local SFS windows, not threads)\n",
+        "workers: {} (build speedup comes from shard-local skyline windows, not threads)\n",
         par.threads()
     );
 

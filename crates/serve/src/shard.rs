@@ -374,7 +374,8 @@ struct MergeScratch {
 /// A [`SkylineSource`] that answers `skyline A` by merging the K per-shard
 /// subspace skylines of a [`ShardedCube`]: collect each shard's (cached)
 /// local skyline, lift local ids to global ids, and run one skyline pass
-/// over the candidate union with the default algorithm (SFS). `member` takes a shard-local fast path before the global check;
+/// over the candidate union with the default algorithm (LESS). `member`
+/// takes a shard-local fast path before the global check;
 /// `count`/`top` aggregate across shards. Exact by the union invariant
 /// (see the module docs).
 pub struct ShardedSource<'a> {

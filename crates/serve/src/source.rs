@@ -648,7 +648,7 @@ impl SkylineSource for AnchoredSubskySource<'_> {
 // ---------------------------------------------------------------------
 
 /// The no-precomputation fallback: every query runs the default skyline
-/// algorithm (SFS) straight on the dataset.
+/// algorithm (LESS) straight on the dataset.
 pub struct DirectSource<'a> {
     ds: &'a Dataset,
 }

@@ -114,6 +114,13 @@ mod tests {
     }
 
     #[test]
+    fn ties_in_sum_are_handled() {
+        // (1,3) and (3,1) tie on sum and are incomparable; (2,2) ties too.
+        let ds = Dataset::from_rows(2, vec![vec![1, 3], vec![3, 1], vec![2, 2]]).unwrap();
+        assert_eq!(skyline_less(&ds, ds.full_space()), vec![0, 1, 2]);
+    }
+
+    #[test]
     fn equal_projections_survive_less() {
         let ds = Dataset::from_rows(2, vec![vec![1, 1]; 40]).unwrap();
         assert_eq!(

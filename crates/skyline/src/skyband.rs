@@ -1,14 +1,9 @@
-//! k-skybands and constrained skylines — the standard generalizations of
-//! the skyline operator that downstream applications of a skyline engine
-//! expect (both introduced alongside BBS in Papadias et al., SIGMOD'03).
-//!
-//! - The **k-skyband** contains every object dominated by *fewer than* `k`
-//!   others; `k = 1` is the ordinary skyline. It is the candidate set for
-//!   any top-k query with a monotone preference function.
-//! - A **constrained skyline** is the skyline of the objects falling inside
-//!   per-dimension value ranges.
+//! k-skybands (Papadias et al., SIGMOD'03), which the daemon's `skyband`
+//! verb answers. The **k-skyband** contains every object dominated by
+//! *fewer than* `k` others; `k = 1` is the ordinary skyline. It is the
+//! candidate set for any top-k query with a monotone preference function.
 
-use skycube_types::{Dataset, DimMask, ObjId, Value};
+use skycube_types::{Dataset, DimMask, ObjId};
 
 /// The k-skyband of `space`: objects dominated by fewer than `k` other
 /// objects. Ids ascending.
@@ -51,40 +46,6 @@ pub fn k_skyband(ds: &Dataset, space: DimMask, k: usize) -> Vec<ObjId> {
     }
     band.sort_unstable();
     band
-}
-
-/// Per-dimension closed value ranges; `None` leaves a dimension
-/// unconstrained.
-pub type Ranges = Vec<Option<(Value, Value)>>;
-
-/// The skyline of `space` among the objects satisfying `ranges`
-/// (the constrained skyline). Ids ascending.
-///
-/// # Panics
-/// Panics if `space` is empty or `ranges.len() != ds.dims()`.
-pub fn constrained_skyline(ds: &Dataset, space: DimMask, ranges: &Ranges) -> Vec<ObjId> {
-    assert!(
-        !space.is_empty(),
-        "skyline of the empty subspace is undefined"
-    );
-    assert_eq!(ranges.len(), ds.dims(), "one range slot per dimension");
-    let satisfies = |o: ObjId| -> bool {
-        let row = ds.row(o);
-        ranges
-            .iter()
-            .enumerate()
-            .all(|(d, r)| r.is_none_or(|(lo, hi)| (lo..=hi).contains(&row[d])))
-    };
-    let candidates: Vec<ObjId> = ds.ids().filter(|&o| satisfies(o)).collect();
-    // SFS over the constrained candidates.
-    let mut order = candidates;
-    let key: Vec<i128> = order.iter().map(|&o| ds.sum_over(o, space)).collect();
-    let mut idx: Vec<usize> = (0..order.len()).collect();
-    idx.sort_unstable_by_key(|&i| key[i]);
-    order = idx.into_iter().map(|i| order[i]).collect();
-    let mut sky = crate::sfs::filter_presorted(ds, space, &order);
-    sky.sort_unstable();
-    sky
 }
 
 #[cfg(test)]
@@ -154,37 +115,6 @@ mod tests {
         assert_eq!(k_skyband(&ds, space, 1), vec![0, 1]);
         assert_eq!(k_skyband(&ds, space, 2), vec![0, 1]);
         assert_eq!(k_skyband(&ds, space, 3), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn constrained_skyline_matches_filtered_oracle() {
-        let ds = running_example();
-        // Constrain A ≤ 5 (drops P4) and D ≤ 5 (drops P1).
-        let ranges: Ranges = vec![Some((0, 5)), None, None, Some((0, 5))];
-        let space = ds.full_space();
-        let sky = constrained_skyline(&ds, space, &ranges);
-        // Among P2, P3, P5: P5 dominates-or-equals P3? P5=(2,4,9,3),
-        // P3=(5,4,9,3) → P5 dominates P3. Skyline: P2, P5.
-        assert_eq!(sky, vec![1, 4]);
-    }
-
-    #[test]
-    fn unconstrained_equals_plain_skyline() {
-        let ds = running_example();
-        let ranges: Ranges = vec![None; 4];
-        for space in ds.full_space().subsets() {
-            assert_eq!(
-                constrained_skyline(&ds, space, &ranges),
-                skyline_naive(&ds, space)
-            );
-        }
-    }
-
-    #[test]
-    fn empty_constraint_region() {
-        let ds = running_example();
-        let ranges: Ranges = vec![Some((100, 200)), None, None, None];
-        assert!(constrained_skyline(&ds, ds.full_space(), &ranges).is_empty());
     }
 
     #[test]

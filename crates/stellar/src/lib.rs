@@ -64,7 +64,7 @@ pub use seeds::{seed_skyline_groups, seed_skyline_groups_par, SeedGroup};
 pub use skycube_parallel::Parallelism;
 pub use transversal::{minimize_antichain, ClauseSet};
 
-use skycube_skyline::skyline_parallel;
+use skycube_skyline::skyline;
 use skycube_types::{Dataset, ObjId, SkylineGroup};
 
 /// Stellar runner; its one setting is the worker-thread count.
@@ -88,7 +88,8 @@ impl Stellar {
         Stellar::default()
     }
 
-    /// Set the worker-thread count for every pipeline stage; `1` selects
+    /// Set the worker-thread count for the seed-lattice and extension
+    /// stages (the full-space skyline runs LESS on one thread); `1` selects
     /// the exact sequential path.
     ///
     /// # Panics
@@ -97,7 +98,8 @@ impl Stellar {
         self.with_parallelism(Parallelism::new(threads))
     }
 
-    /// Set the [`Parallelism`] configuration for every pipeline stage.
+    /// Set the [`Parallelism`] configuration for the seed-lattice and
+    /// extension stages.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
@@ -117,9 +119,7 @@ impl Stellar {
         // bound together and always appear together in groups.
         let (bound, reps) = ds.bind_duplicates();
         let par = self.parallelism;
-        // One thread runs plain SFS; more run the partitioned parallel SFS.
-        let seeds_bound = skyline_parallel(&bound, bound.full_space(), par);
-        let view = SeedView::new(&bound, seeds_bound);
+        let view = SeedView::new(&bound, skyline(&bound, bound.full_space()));
         let seed_groups = seed_skyline_groups_par(&view, par);
         let groups_bound = extend_to_full_par(&view, &seed_groups, par);
 

@@ -223,7 +223,7 @@ impl StellarEngine {
         Self::with_runner(ds, Stellar::new())
     }
 
-    /// Build with a configured runner. The engine's builds run SFS and the
+    /// Build with a configured runner. The engine's builds run LESS and the
     /// rest of the pipeline on one thread, so the runner's thread count
     /// does not reach them yet.
     pub fn with_runner(ds: &Dataset, _runner: Stellar) -> Self {

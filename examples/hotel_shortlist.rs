@@ -1,6 +1,6 @@
-//! Building a hotel shortlist with the skyline-operator family: plain
-//! subspace skylines, constrained skylines, k-skybands and k-dominant
-//! skylines — the generalizations the compressed cube's substrate provides.
+//! Building a hotel shortlist with the skyline operator: the full-space
+//! skyline, the k-skyband of backups, and the compressed cube's view of
+//! where one hotel wins.
 //!
 //! ```sh
 //! cargo run --release --example hotel_shortlist
@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use skycube::algorithms::{constrained_skyline, k_dominant_skyline, k_skyband, Ranges};
+use skycube::algorithms::k_skyband;
 use skycube::prelude::*;
 
 const ATTRS: [&str; 4] = ["price", "beach_m", "center_km", "noise"];
@@ -38,13 +38,6 @@ fn main() {
         sky.len()
     );
 
-    // Too many? The k-dominant skyline tightens the criterion: a hotel
-    // survives only if nothing beats it on every 3-subset of attributes.
-    for k in (2..=4).rev() {
-        let kd = k_dominant_skyline(&ds, full, k);
-        println!("  {k}-dominant skyline: {} hotels", kd.len());
-    }
-
     // Need backups? The 3-skyband adds hotels beaten by at most 2 others —
     // the exact candidate set for any top-3 ranking with monotone weights.
     let band = k_skyband(&ds, full, 3);
@@ -52,24 +45,6 @@ fn main() {
         "3-skyband (top-3 candidates under any monotone scoring): {}",
         band.len()
     );
-
-    // Hard constraints: ≤ €260 a night, ≤ 500 m to the beach.
-    let ranges: Ranges = vec![Some((0, 260)), Some((0, 500)), None, None];
-    let constrained = constrained_skyline(&ds, full, &ranges);
-    println!(
-        "\nskyline within (price ≤ €260, beach ≤ 500 m): {} hotels",
-        constrained.len()
-    );
-    for &h in constrained.iter().take(5) {
-        let r = ds.row(h);
-        println!(
-            "  hotel #{h}: €{} | beach {} m | centre {:.1} km | {} dB",
-            r[0],
-            r[1],
-            r[2] as f64 / 10.0,
-            r[3]
-        );
-    }
 
     // And the full multidimensional view: in which attribute combinations
     // does the overall cheapest skyline hotel win?

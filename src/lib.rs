@@ -10,7 +10,8 @@
 //! This crate is a facade that re-exports the workspace's public API:
 //!
 //! - [`types`] — values, dimension masks, datasets, skyline groups;
-//! - [`algorithms`] — single-space skyline algorithms (BNL, SFS, D&C, …);
+//! - [`algorithms`] — single-space skylines: LESS, the k-skyband and the
+//!   naive oracle;
 //! - [`stellar`] — the compressed-skyline-cube computation and query API;
 //! - [`skyey`] — the baseline and oracle;
 //! - [`subsky`] — on-the-fly subspace skyline retrieval (Tao et al. \[13\]);
@@ -60,7 +61,7 @@ pub mod prelude {
         TornTail, Wal, WalOpen, WalRecord,
     };
     pub use skycube_skyey::{skyey_groups, SkyCube};
-    pub use skycube_skyline::{skyline, skyline_parallel, Algorithm};
+    pub use skycube_skyline::{skyline, Algorithm};
     pub use skycube_stellar::{
         compute_cube, CompressedSkylineCube, GroupLattice, Stellar, StellarEngine,
     };

@@ -103,22 +103,11 @@ fn stress_all_skyline_algorithms_at_scale() {
     for dist in Distribution::ALL {
         let ds = generate(dist, 30_000, 5, 3);
         let full = ds.full_space();
-        let expect = Algorithm::Sfs.run(&ds, full);
-        for alg in [
-            Algorithm::Bnl,
-            Algorithm::SfsLex,
-            Algorithm::Dnc,
-            Algorithm::Less,
-            Algorithm::Bbs,
-            Algorithm::Salsa,
-        ] {
-            assert_eq!(
-                alg.run(&ds, full),
-                expect,
-                "{} on {}",
-                alg.name(),
-                dist.name()
-            );
-        }
+        assert_eq!(
+            Algorithm::Less.run(&ds, full),
+            Algorithm::Naive.run(&ds, full),
+            "{}",
+            dist.name()
+        );
     }
 }
