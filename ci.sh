@@ -82,8 +82,10 @@ fi
 echo '== byte-identity gate: skycube build output is unchanged'
 # The sha256 of the text cube, at default threads and at --threads 1, and
 # of the binary cube, for one generated 2,000 × 5 dataset per
-# distribution. A change that means to alter answers updates these values
-# and says why in CHANGES.md.
+# distribution, plus the independent one quantized to 10 values per
+# dimension (1,982 distinct rows, ties with seed values everywhere). A
+# change that means to alter answers updates these values and says why in
+# CHANGES.md.
 check_sha256() {
     got=$(sha256sum "$1" | cut -d ' ' -f 1)
     if [ "$got" != "$2" ]; then
@@ -91,10 +93,9 @@ check_sha256() {
         exit 1
     fi
 }
+# hash_gate CSV TEXT_SHA BINARY_SHA
 hash_gate() {
-    csv="$SMOKE_DIR/hash-$1.csv"
-    ./target/release/skycube generate --dist "$1" --count 2000 --dims 5 \
-        --seed 7 --out "$csv" > /dev/null
+    csv="$1"
     ./target/release/skycube build --data "$csv" --out "$csv.txt" > /dev/null
     ./target/release/skycube build --data "$csv" --out "$csv.t1.txt" \
         --threads 1 > /dev/null
@@ -104,15 +105,24 @@ hash_gate() {
     check_sha256 "$csv.t1.txt" "$2"
     check_sha256 "$csv.bin" "$3"
 }
-hash_gate correlated \
+for dist in correlated independent anti-correlated; do
+    ./target/release/skycube generate --dist "$dist" --count 2000 --dims 5 \
+        --seed 7 --out "$SMOKE_DIR/hash-$dist.csv" > /dev/null
+done
+awk -F, -v OFS=, 'NR==1{print;next}{for(i=1;i<=NF;i++) $i=int($i/1000)}1' \
+    "$SMOKE_DIR/hash-independent.csv" > "$SMOKE_DIR/hash-tied.csv"
+hash_gate "$SMOKE_DIR/hash-correlated.csv" \
     20e4a8ae5f1078a539e64d9be96f7b47a17202f4a4e4efc414c7b4aeb4301f1f \
     0630e624ff38679956034447294b90db4aab012ab7982601786b314dd99e0e69
-hash_gate independent \
+hash_gate "$SMOKE_DIR/hash-independent.csv" \
     59716d45b9390c2e64692d9bc65d94c2d92c4417186eeb91bfe2e4dc642b408a \
     0627a43697dedbc92aa86e661f406c6233102cb9423d8ba3ecea50e22b4c3544
-hash_gate anti-correlated \
+hash_gate "$SMOKE_DIR/hash-anti-correlated.csv" \
     bfe1e497cacf00267665cba6cf9699c202885e00418cd6d75a162de05bc2f845 \
     9d53f3a66cca019b22c42f550cc6a90b41a5cea8158efe007a1af8453877b863
+hash_gate "$SMOKE_DIR/hash-tied.csv" \
+    6fe7a7fb9cb3897e1de1678efcffeca4d46a269b7f9dadc6233558ffaa5dc078 \
+    1ca2da641fbbff2187e518e4ecc577f654da15b9a08218b79a74be4031632474
 
 echo '== queries bench smoke: indexed == scan + memo self-verify'
 # --verify asserts indexed == scan, zero demotions behind the fallback

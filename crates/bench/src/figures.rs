@@ -865,7 +865,7 @@ pub fn maintenance_ablation(args: &HarnessArgs) -> Vec<JsonRecord> {
     }
     // Patched ≡ recomputed, on the cube left behind by a timed insert.
     engine.insert(dominated.clone()).unwrap();
-    let fresh = compute_cube(&engine.dataset());
+    let fresh = compute_cube(engine.rows());
     assert_eq!(
         normalize_groups(engine.cube().groups().to_vec()),
         normalize_groups(fresh.groups().to_vec()),
@@ -897,7 +897,7 @@ pub fn maintenance_ablation(args: &HarnessArgs) -> Vec<JsonRecord> {
             engine.delete(id).expect("inserted id is live");
         } else {
             let s = seeds[k % seeds.len()];
-            let mut row: Vec<i64> = engine.dataset().row(s).to_vec();
+            let mut row: Vec<i64> = engine.row(s).to_vec();
             row[k % d] += 1;
             inserted_ids.push(engine.insert(row).expect("row is well formed"));
         }

@@ -458,14 +458,13 @@ impl Daemon {
             generation: Some(generation),
         };
         // The cube holds only the k = 1 layer, so a wave containing a
-        // k ≥ 2 skyband gets a dataset-backed fallback rung (the engine
-        // owns its rows; the clone is paid only by such waves). Everything
-        // else serves straight from the warm indexed stack.
+        // k ≥ 2 skyband gets a fallback rung over the engine's rows, which
+        // the read guard lends. Everything else serves straight from the
+        // warm indexed stack.
         let needs_rows = queries
             .iter()
             .any(|q| matches!(q, Query::Skyband(k, _) if *k >= 2));
-        let dataset = needs_rows.then(|| engine.dataset());
-        let direct = dataset.as_ref().map(crate::DirectSource::new);
+        let direct = needs_rows.then(|| crate::DirectSource::new(engine.rows()));
         #[cfg(feature = "faults")]
         let faulty = self
             .plan
@@ -606,8 +605,7 @@ impl Daemon {
         let mut state = wal.lock().unwrap_or_else(PoisonError::into_inner);
         let durable = state.wal.next_generation() - 1;
         let truncated = state.wal.records();
-        let dataset = engine.dataset();
-        crate::wal::write_checkpoint(state.wal.path(), &dataset, engine.cube(), durable)
+        crate::wal::write_checkpoint(state.wal.path(), engine.rows(), engine.cube(), durable)
             .map_err(|e| ServeError::Internal(format!("checkpoint failed: {e}")))?;
         state
             .wal

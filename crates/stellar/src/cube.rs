@@ -176,21 +176,29 @@ impl CompressedSkylineCube {
     /// Swap in a new generation of groups/seeds *without* dropping the lazy
     /// index — the delta-maintenance path, which follows up with
     /// [`Self::splice_index`] so a built index is patched, never cold.
+    /// `deleted` is the object a delete removed (ids above it shift down by
+    /// one); an insert grows the cube to `num_objects`.
     pub(crate) fn replace_groups(
         &mut self,
         num_objects: usize,
         seeds: Vec<ObjId>,
         groups: Vec<SkylineGroup>,
+        deleted: Option<ObjId>,
     ) {
         self.promote_storage();
         let GroupStorage::Built(tables) = &mut self.storage else {
             unreachable!("storage just promoted")
         };
-        // Reuse the existing per-object buckets (clearing keeps their
-        // allocations) — churning `num_objects` fresh `Vec`s per mutation
-        // is measurable at maintenance rates.
-        for v in &mut tables.member_groups {
-            v.clear();
+        // Only the old groups' members have a non-empty bucket: clear those
+        // (keeping their allocations), then remove or add the one slot the
+        // mutation changed, and refill.
+        for g in &tables.groups {
+            for &m in &g.members {
+                tables.member_groups[m as usize].clear();
+            }
+        }
+        if let Some(d) = deleted {
+            tables.member_groups.remove(d as usize);
         }
         tables.member_groups.resize_with(num_objects, Vec::new);
         for (gi, g) in groups.iter().enumerate() {

@@ -13,14 +13,14 @@
 //! subspace (an offender coincides on it). Relevant objects are found by
 //! intersecting per-dimension `value → non-seed ids` posting lists over the
 //! dimensions of each decisive subspace, instead of scanning every non-seed
-//! per group (an engineering addition).
+//! per group (an engineering addition). The probe values are always a
+//! seed's, so only the values some seed holds get a list.
 
 use crate::matrices::SeedView;
 use crate::seeds::SeedGroup;
 use crate::transversal::{minimize_antichain, ClauseSet};
 use skycube_parallel::{par_map_indexed, Parallelism};
-use skycube_types::{DimMask, ObjId, SkylineGroup, Value};
-use std::collections::HashMap;
+use skycube_types::{Dataset, DimMask, ObjId, SkylineGroup, Value};
 
 /// Extend the seed lattice to the skyline groups over the whole dataset.
 /// The returned groups use dataset object ids, in seed-group order.
@@ -59,53 +59,99 @@ pub fn extend_to_full_par(
     .collect()
 }
 
-/// Ids not in the full-space skyline, ascending.
-fn non_seed_ids(view: &SeedView<'_>) -> Vec<ObjId> {
-    let ds = view.dataset();
-    let mut seeds = view.seeds().iter().copied().peekable();
-    let mut out = Vec::with_capacity(ds.len() - view.len());
-    for o in ds.ids() {
-        if seeds.peek() == Some(&o) {
-            seeds.next();
-        } else {
-            out.push(o);
-        }
-    }
-    out
+/// The ids of `ds` that are not in `seeds`, both ascending.
+pub(crate) fn non_seed_ids<'a>(
+    ds: &'a Dataset,
+    seeds: &'a [ObjId],
+) -> impl Iterator<Item = ObjId> + 'a {
+    let mut seeds = seeds.iter().copied().peekable();
+    ds.ids().filter(move |&o| seeds.next_if_eq(&o).is_none())
 }
 
-/// Per-dimension posting lists over the non-seeds: `maps[d][v]` holds the
-/// non-seed ids whose value in dimension `d` is `v`, ascending.
-struct NonSeedIndex {
-    maps: Vec<HashMap<Value, Vec<ObjId>>>,
+/// Incremental accommodation state for delta maintenance: per-dimension
+/// posting lists over the non-seeds, kept up to date under single-object
+/// mutations so a mutation re-extends only the touched seed groups instead
+/// of rebuilding the lists over all non-seeds.
+///
+/// The lists are keyed by the values the seeds hold: `keys[d]` holds the
+/// distinct seed values of dimension `d`, ascending, and `lists[d][k]` the
+/// non-seed ids whose value there is `keys[d][k]`, ascending. The
+/// extension probes only a seed's values, so a value no seed holds needs no
+/// list. Ids are *bound* dataset ids, and the owner keeps the seed set fixed
+/// for the context's life: it calls [`ExtensionContext::insert_non_seed`]
+/// when a fresh bound non-seed appears and
+/// [`ExtensionContext::retire_non_seed`] when one disappears. No other id
+/// changes, so each call edits at most one list per dimension.
+pub struct ExtensionContext {
+    keys: Vec<Vec<Value>>,
+    lists: Vec<Vec<Vec<ObjId>>>,
 }
 
-impl NonSeedIndex {
-    /// Fills one dimension's table at a time, so the table being filled
-    /// stays in cache; `non_seeds` is ascending, so every list is too.
-    fn build(ds: &skycube_types::Dataset, non_seeds: &[ObjId]) -> Self {
-        let maps = (0..ds.dims())
+impl ExtensionContext {
+    /// Build the non-seeds' posting lists from the current seed view: one
+    /// binary search per non-seed value. The ids are visited in ascending
+    /// order, so every list comes out ascending.
+    pub fn new(view: &SeedView<'_>) -> Self {
+        let ds = view.dataset();
+        let keys: Vec<Vec<Value>> = (0..ds.dims())
             .map(|d| {
-                let mut map: HashMap<Value, Vec<ObjId>> = HashMap::new();
-                for &p in non_seeds {
-                    map.entry(ds.value(p, d)).or_default().push(p);
-                }
-                map
+                let mut k: Vec<Value> = view.seeds().iter().map(|&s| ds.value(s, d)).collect();
+                k.sort_unstable();
+                k.dedup();
+                k
             })
             .collect();
-        NonSeedIndex { maps }
+        let mut lists: Vec<Vec<Vec<ObjId>>> =
+            keys.iter().map(|k| vec![Vec::new(); k.len()]).collect();
+        for p in non_seed_ids(ds, view.seeds()) {
+            for (d, &v) in ds.row(p).iter().enumerate() {
+                if let Ok(k) = keys[d].binary_search(&v) {
+                    lists[d][k].push(p);
+                }
+            }
+        }
+        ExtensionContext { keys, lists }
     }
 
-    /// Non-seeds matching `rep`'s values on every dimension of `dims`
-    /// (ascending ids), via sorted-list intersection starting from the
-    /// shortest posting list.
+    /// Register a fresh bound non-seed `p` with values `row`.
+    pub fn insert_non_seed(&mut self, row: &[Value], p: ObjId) {
+        for (d, &v) in row.iter().enumerate() {
+            if let Some(list) = self.list_mut(d, v) {
+                if let Err(at) = list.binary_search(&p) {
+                    list.insert(at, p);
+                }
+            }
+        }
+    }
+
+    /// Unregister bound non-seed `p`, whose values are `row`. Every other
+    /// id keeps its value.
+    pub fn retire_non_seed(&mut self, row: &[Value], p: ObjId) {
+        for (d, &v) in row.iter().enumerate() {
+            if let Some(list) = self.list_mut(d, v) {
+                if let Ok(at) = list.binary_search(&p) {
+                    list.remove(at);
+                }
+            }
+        }
+    }
+
+    /// The list of dimension `d` for value `v`, if some seed holds `v`.
+    fn list_mut(&mut self, d: usize, v: Value) -> Option<&mut Vec<ObjId>> {
+        let k = self.keys[d].binary_search(&v).ok()?;
+        Some(&mut self.lists[d][k])
+    }
+
+    /// Non-seeds matching `rep_row`, a seed's row, on every dimension of
+    /// `dims` (ascending ids), via sorted-list intersection starting from
+    /// the shortest posting list.
     fn matching(&self, rep_row: &[Value], dims: DimMask, out: &mut Vec<ObjId>) {
         out.clear();
         let mut lists: Vec<&[ObjId]> = Vec::with_capacity(dims.len());
         for d in dims.iter() {
-            match self.maps[d].get(&rep_row[d]) {
-                Some(list) => lists.push(list),
-                None => return, // no non-seed matches this dimension
+            match self.keys[d].binary_search(&rep_row[d]) {
+                Ok(k) if !self.lists[d][k].is_empty() => lists.push(&self.lists[d][k]),
+                _ => return, // no non-seed matches this dimension
             }
         }
         lists.sort_unstable_by_key(|l| l.len());
@@ -119,95 +165,6 @@ impl NonSeedIndex {
                 }
             }
             out.push(p);
-        }
-    }
-}
-
-/// Incremental accommodation state for delta maintenance: the non-seed
-/// universe and its per-dimension posting index, kept up to date under
-/// single-object binding mutations so a mutation re-extends only the touched
-/// seed groups instead of rebuilding the index over all non-seeds.
-///
-/// Ids are *bound* dataset ids; the owner is responsible for calling
-/// [`ExtensionContext::remove_non_seed`] with the pre-removal row whenever a
-/// bound row disappears (which also applies the positional-id shift), and
-/// [`ExtensionContext::insert_non_seed`] when a fresh bound non-seed appears.
-pub struct ExtensionContext {
-    non_seeds: Vec<ObjId>,
-    index: NonSeedIndex,
-}
-
-impl ExtensionContext {
-    /// Build from the current seed view: the non-seeds and their posting
-    /// index.
-    pub fn new(view: &SeedView<'_>) -> Self {
-        let non_seeds = non_seed_ids(view);
-        let index = NonSeedIndex::build(view.dataset(), &non_seeds);
-        ExtensionContext { non_seeds, index }
-    }
-
-    /// Number of tracked non-seeds.
-    pub fn num_non_seeds(&self) -> usize {
-        self.non_seeds.len()
-    }
-
-    /// The bound non-seed whose row equals `row` on every one of the `dims`
-    /// dimensions, if one exists — a posting-list intersection, not a scan
-    /// of the bound dataset. There is at most one match: bound rows are
-    /// pairwise distinct. Seed rows are not consulted; the caller's
-    /// fast-path gate (strict domination by some seed) already rules out a
-    /// tie with a seed row.
-    pub fn find_duplicate(&self, dims: usize, row: &[Value]) -> Option<ObjId> {
-        let mut out = Vec::new();
-        self.index.matching(row, DimMask::full(dims), &mut out);
-        out.first().copied()
-    }
-
-    /// Register a fresh bound non-seed `p` with values `row`.
-    pub fn insert_non_seed(&mut self, row: &[Value], p: ObjId) {
-        if let Err(at) = self.non_seeds.binary_search(&p) {
-            self.non_seeds.insert(at, p);
-        }
-        for (d, &v) in row.iter().enumerate() {
-            let list = self.index.maps[d].entry(v).or_default();
-            if let Err(at) = list.binary_search(&p) {
-                list.insert(at, p);
-            }
-        }
-    }
-
-    /// Unregister bound non-seed `p` (whose former values were `row`) and
-    /// shift every tracked id above `p` down by one — the positional-id
-    /// model after a bound-row removal.
-    pub fn remove_non_seed(&mut self, row: &[Value], p: ObjId) {
-        if let Ok(at) = self.non_seeds.binary_search(&p) {
-            self.non_seeds.remove(at);
-        }
-        for id in &mut self.non_seeds {
-            if *id > p {
-                *id -= 1;
-            }
-        }
-        for (d, &v) in row.iter().enumerate() {
-            let mut emptied = false;
-            if let Some(list) = self.index.maps[d].get_mut(&v) {
-                if let Ok(at) = list.binary_search(&p) {
-                    list.remove(at);
-                }
-                emptied = list.is_empty();
-            }
-            if emptied {
-                self.index.maps[d].remove(&v);
-            }
-        }
-        for map in &mut self.index.maps {
-            for list in map.values_mut() {
-                for id in list.iter_mut() {
-                    if *id > p {
-                        *id -= 1;
-                    }
-                }
-            }
         }
     }
 
@@ -237,7 +194,7 @@ impl ExtensionContext {
         s.relevant.clear();
         let mut seen: Vec<ObjId> = Vec::new();
         for &c in &sg.decisive {
-            self.index.matching(rep_row, c, &mut s.candidates);
+            self.matching(rep_row, c, &mut s.candidates);
             for &p in &s.candidates {
                 if let Err(at) = seen.binary_search(&p) {
                     seen.insert(at, p);

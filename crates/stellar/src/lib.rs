@@ -39,6 +39,7 @@ mod lattice;
 mod maintenance;
 mod matrices;
 mod persist;
+mod row_table;
 mod seeds;
 mod transversal;
 

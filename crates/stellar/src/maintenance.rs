@@ -28,9 +28,10 @@
 //! classifies it as removed+added — a *touched* group covering `A`. A
 //! surviving cache entry therefore needs only [`MaintenanceDelta::remap_ids`].
 
-use crate::extend::ExtensionContext;
+use crate::extend::{non_seed_ids, ExtensionContext};
 use crate::lattice::diff_groups;
 use crate::matrices::SeedView;
+use crate::row_table::RowTable;
 use crate::seeds::{seed_skyline_groups, SeedGroup};
 use crate::{CompressedSkylineCube, Stellar};
 use skycube_skyline::skyline;
@@ -190,8 +191,7 @@ impl MaintenanceDelta {
 
 /// An updatable compressed skyline cube.
 pub struct StellarEngine {
-    rows: Vec<Vec<Value>>,
-    dims: usize,
+    rows: Dataset,
     cube: CompressedSkylineCube,
     /// Cached seed lattice over the *bound* dataset, reused by the fast
     /// path. Invalidated (recomputed) when the seed set changes.
@@ -205,6 +205,11 @@ pub struct StellarEngine {
     last_delta: Option<MaintenanceDelta>,
 }
 
+/// The seed lattice over the bound dataset. The fast paths keep the seed
+/// set fixed, and a bound id keeps its value until the next recompute: a
+/// fast insert appends a bound row, and a fast delete that empties one
+/// *retires* it. A retired row leaves the posting lists and the row table
+/// but stays in `bound`, with an empty `reps` entry, as dead storage.
 struct CachedSeedLattice {
     bound: Dataset,
     reps: Vec<Vec<ObjId>>,
@@ -213,8 +218,11 @@ struct CachedSeedLattice {
     /// Per-seed-group extension outputs (bound-space ids), in seed-group
     /// order; the cube's group list is their concatenation, expanded.
     ext: Vec<Vec<SkylineGroup>>,
-    /// Incrementally maintained non-seed universe + posting index.
+    /// Incrementally maintained non-seed posting lists.
     ctx: ExtensionContext,
+    /// The live bound non-seeds by row: the duplicate check of a fast
+    /// insert and the bound-row lookup of a fast delete.
+    non_seed_rows: RowTable,
 }
 
 impl StellarEngine {
@@ -227,10 +235,8 @@ impl StellarEngine {
     /// rest of the pipeline on one thread, so the runner's thread count
     /// does not reach them yet.
     pub fn with_runner(ds: &Dataset, _runner: Stellar) -> Self {
-        let rows: Vec<Vec<Value>> = ds.ids().map(|o| ds.row(o).to_vec()).collect();
         let mut engine = StellarEngine {
-            rows,
-            dims: ds.dims(),
+            rows: ds.clone(),
             cube: CompressedSkylineCube::new(ds.dims(), 0, Vec::new(), Vec::new()),
             cached: None,
             stats: MaintenanceStats::default(),
@@ -266,10 +272,8 @@ impl StellarEngine {
                 ),
             });
         }
-        let rows: Vec<Vec<Value>> = ds.ids().map(|o| ds.row(o).to_vec()).collect();
         Ok(StellarEngine {
-            rows,
-            dims: ds.dims(),
+            rows: ds.clone(),
             cube,
             cached: None,
             stats: MaintenanceStats::default(),
@@ -283,9 +287,14 @@ impl StellarEngine {
         &self.cube
     }
 
-    /// The current dataset.
+    /// An owned copy of the current dataset; [`Self::rows`] lends it.
     pub fn dataset(&self) -> Dataset {
-        Dataset::from_rows(self.dims, self.rows.clone()).expect("rows stay well formed")
+        self.rows.clone()
+    }
+
+    /// The current dataset, borrowed.
+    pub fn rows(&self) -> &Dataset {
+        &self.rows
     }
 
     /// The values of object `id`, without cloning the dataset — the cheap
@@ -294,12 +303,12 @@ impl StellarEngine {
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn row(&self, id: ObjId) -> &[Value] {
-        &self.rows[id as usize]
+        self.rows.row(id)
     }
 
     /// Dimensionality of the engine's space.
     pub fn dims(&self) -> usize {
-        self.dims
+        self.rows.dims()
     }
 
     /// Number of objects currently indexed.
@@ -339,14 +348,13 @@ impl StellarEngine {
     /// (and drops the index). Callers holding answer caches should consume
     /// [`Self::last_delta`].
     pub fn insert(&mut self, row: Vec<Value>) -> Result<ObjId> {
-        if row.len() != self.dims {
+        if row.len() != self.dims() {
             return Err(skycube_types::Error::RowLengthMismatch {
                 row: self.rows.len(),
-                expected: self.dims,
+                expected: self.dims(),
                 actual: row.len(),
             });
         }
-        let id = self.rows.len() as ObjId;
         let dominated = self.strictly_dominated(&row);
         if dominated {
             // An adopted (loaded) cube starts without the seed-lattice
@@ -354,7 +362,7 @@ impl StellarEngine {
             // and the in-place splice of the loaded index — applies.
             self.ensure_cache();
         }
-        self.rows.push(row);
+        let id = self.rows.push_row(&row)?;
         self.generation += 1;
         if dominated && self.cached.is_some() {
             self.patch_insert(id);
@@ -373,10 +381,11 @@ impl StellarEngine {
     ///
     /// Removing a *non-seed* cannot change any dominance relation among the
     /// remaining objects, so the seed lattice of steps 1–4 survives: the
-    /// binding is maintained arithmetically (ids above the removed one shift
-    /// down) and only the seed groups that contained the object's bound row
-    /// are re-extended. Removing a seed may promote previously dominated
-    /// objects and forces a full recomputation.
+    /// object leaves its bound row's duplicate list, a bound row left empty
+    /// is retired (every other bound id keeps its value), and only the seed
+    /// groups that contained that row are re-extended. Removing a seed may
+    /// promote previously dominated objects and forces a full
+    /// recomputation.
     pub fn delete(&mut self, id: ObjId) -> Result<Vec<Value>> {
         if id as usize >= self.rows.len() {
             return Err(skycube_types::Error::NoSuchObject {
@@ -391,7 +400,7 @@ impl StellarEngine {
             // unbinds the removed row from it).
             self.ensure_cache();
         }
-        let row = self.rows.remove(id as usize);
+        let row = self.rows.remove_row(id)?;
         self.generation += 1;
         if self.rows.is_empty() || was_seed || self.cached.is_none() {
             self.cube.invalidate_index();
@@ -413,7 +422,7 @@ impl StellarEngine {
     /// O(|seeds|·d), not O(n·d).
     fn strictly_dominated(&self, row: &[Value]) -> bool {
         self.cube.seeds().iter().any(|&s| {
-            let existing = &self.rows[s as usize];
+            let existing = self.rows.row(s);
             let mut strict = false;
             for (a, b) in existing.iter().zip(row) {
                 if a > b {
@@ -438,22 +447,30 @@ impl StellarEngine {
             seed_groups,
             ext,
             ctx,
+            non_seed_rows,
         } = self.cached.as_mut().expect("fast path requires cache");
-        let new_row = &self.rows[id as usize];
+        let new_row = self.rows.row(id);
         // `true` once some group's expansion actually changes; a dominated
         // insert that ties no skyline projection changes nothing and takes
         // the O(1)-ish append tail instead of the diff-and-splice tail.
         let mut changed = false;
-        match ctx.find_duplicate(bound.dims(), new_row) {
+        // A strictly dominated row ties no seed row, so a duplicate can
+        // only be a bound non-seed.
+        match non_seed_rows.get(bound, new_row) {
             // Duplicate of an existing bound non-seed: the bound lattice is
-            // untouched, only the expansion of the groups holding it grows.
+            // untouched, only the expansion of the groups holding it grows
+            // (if no group holds it, nothing changes).
             Some(b) => {
                 reps[b as usize].push(id);
-                changed = true;
+                changed = ext
+                    .iter()
+                    .flatten()
+                    .any(|g| g.members.binary_search(&b).is_ok());
             }
             None => {
                 let nb = bound.push_row(new_row).expect("row length validated");
                 reps.push(vec![id]);
+                non_seed_rows.insert(bound, nb);
                 ctx.insert_non_seed(new_row, nb);
                 // Relevance probe straight on the bound dataset (same test
                 // as [`non_seed_relevant`]); the columnar seed view is only
@@ -505,9 +522,10 @@ impl StellarEngine {
         });
     }
 
-    /// Fast path for a non-seed delete: arithmetic id remap (no row-equality
-    /// scans), incremental binding maintenance, re-extension of exactly the
-    /// seed groups whose derived groups contained the object's bound row.
+    /// Fast path for a non-seed delete: one row-table lookup finds the
+    /// object's bound row, original ids above it shift down, and a bound
+    /// row left without objects is retired. Only the seed groups whose
+    /// derived groups contained that row are re-extended.
     fn patch_delete(&mut self, id: ObjId, removed_row: &[Value]) {
         let CachedSeedLattice {
             bound,
@@ -516,16 +534,17 @@ impl StellarEngine {
             seed_groups,
             ext,
             ctx,
+            non_seed_rows,
         } = self.cached.as_mut().expect("fast path requires cache");
-        let b = reps
-            .iter()
-            .position(|l| l.binary_search(&id).is_ok())
-            .expect("every object has a bound rep") as u32;
-        let at = reps[b as usize]
+        let b = non_seed_rows
+            .get(bound, removed_row)
+            .expect("a non-seed's row is a live bound non-seed");
+        let objects = &mut reps[b as usize];
+        let at = objects
             .binary_search(&id)
-            .expect("rep just located");
-        reps[b as usize].remove(at);
-        let emptied = reps[b as usize].is_empty();
+            .expect("the bound row lists its objects");
+        objects.remove(at);
+        let emptied = objects.is_empty();
         // Original ids above the deleted one shift down by one.
         for list in reps.iter_mut() {
             for o in list.iter_mut() {
@@ -535,37 +554,21 @@ impl StellarEngine {
             }
         }
         if emptied {
-            // The bound row itself disappears: shift bound ids and re-extend
-            // the chunks that contained it. Relevance ⟺ derived-group
-            // membership, so "some group of the chunk contains `b`" is
-            // exactly the touched-chunk condition.
-            reps.remove(b as usize);
-            bound.remove_row(b).expect("bound row exists");
-            ctx.remove_non_seed(removed_row, b);
-            for s in seeds_bound.iter_mut() {
-                debug_assert_ne!(*s, b, "fast delete path never removes a seed's bound row");
-                if *s > b {
-                    *s -= 1;
+            // Retire the bound row and re-extend the chunks that contained
+            // it. Relevance ⟺ derived-group membership, so "some group of
+            // the chunk contains `b`" is exactly the touched-chunk
+            // condition.
+            ctx.retire_non_seed(removed_row, b);
+            non_seed_rows.remove(bound, b);
+            let touched: Vec<usize> = (0..ext.len())
+                .filter(|&si| ext[si].iter().any(|g| g.members.binary_search(&b).is_ok()))
+                .collect();
+            if !touched.is_empty() {
+                let view = SeedView::new(bound, seeds_bound.clone());
+                for si in touched {
+                    ext[si].clear();
+                    ctx.extend_group(&view, &seed_groups[si], &mut ext[si]);
                 }
-            }
-            let mut touched: Vec<usize> = Vec::new();
-            for (si, chunk) in ext.iter_mut().enumerate() {
-                if chunk.iter().any(|g| g.members.contains(&b)) {
-                    touched.push(si);
-                } else {
-                    for g in chunk.iter_mut() {
-                        for m in g.members.iter_mut() {
-                            if *m > b {
-                                *m -= 1;
-                            }
-                        }
-                    }
-                }
-            }
-            let view = SeedView::new(bound, seeds_bound.clone());
-            for si in touched {
-                ext[si].clear();
-                ctx.extend_group(&view, &seed_groups[si], &mut ext[si]);
             }
         }
         self.finish_patch(None, Some(id));
@@ -640,7 +643,7 @@ impl StellarEngine {
             .map(|t| (t.subspace, t.decisive.clone()))
             .collect();
         self.cube
-            .replace_groups(self.rows.len(), new_seeds, new_groups);
+            .replace_groups(self.rows.len(), new_seeds, new_groups, deleted);
         let spliced = self.cube.splice_index(&delta, &purge);
         if spliced {
             self.stats.spliced += 1;
@@ -659,15 +662,17 @@ impl StellarEngine {
     /// Full pipeline, refreshing the cached seed lattice and the per-chunk
     /// extension cache.
     fn recompute(&mut self) {
+        // The old lattice describes other rows: drop it first, so that it
+        // and the new one are never resident together.
+        self.cached = None;
         if self.rows.is_empty() {
-            self.cube = CompressedSkylineCube::new(self.dims, 0, Vec::new(), Vec::new());
-            self.cached = None;
+            self.cube = CompressedSkylineCube::new(self.dims(), 0, Vec::new(), Vec::new());
             return;
         }
         let cached = self.build_cache();
         let groups_bound: Vec<SkylineGroup> = cached.ext.iter().flatten().cloned().collect();
         self.cube = assemble(
-            self.dims,
+            self.dims(),
             self.rows.len(),
             &cached.seeds_bound,
             groups_bound,
@@ -691,8 +696,7 @@ impl StellarEngine {
     /// seed lattice (with per-chunk extension outputs) and touching neither
     /// the cube nor the counters.
     fn build_cache(&self) -> CachedSeedLattice {
-        let ds = self.dataset();
-        let (bound, reps) = ds.bind_duplicates();
+        let (bound, reps) = self.rows.bind_duplicates();
         let seeds_bound = skyline(&bound, bound.full_space());
         let view = SeedView::new(&bound, seeds_bound.clone());
         let seed_groups = seed_skyline_groups(&view);
@@ -704,6 +708,10 @@ impl StellarEngine {
             ext.push(chunk);
         }
         drop(view);
+        let mut non_seed_rows = RowTable::with_capacity(bound.len() - seeds_bound.len());
+        for b in non_seed_ids(&bound, &seeds_bound) {
+            non_seed_rows.insert(&bound, b);
+        }
         CachedSeedLattice {
             bound,
             reps,
@@ -711,6 +719,7 @@ impl StellarEngine {
             seed_groups,
             ext,
             ctx,
+            non_seed_rows,
         }
     }
 }
@@ -794,11 +803,18 @@ mod tests {
     fn duplicate_insert_joins_bound_pair() {
         let ds = running_example();
         let mut engine = StellarEngine::new(&ds);
-        // An exact duplicate of P1 (a non-seed, dominated by P2).
+        // An exact duplicate of P1 (a non-seed, dominated by P2, in no
+        // group): no group changes.
         engine.insert(vec![5, 6, 10, 7]).unwrap();
         assert_cubes_equal(&engine);
         engine.insert(vec![5, 6, 10, 7]).unwrap();
         assert_cubes_equal(&engine);
+        assert!(engine.last_delta().unwrap().touched().is_empty());
+        // A duplicate of P3, a non-seed member of three groups: they grow.
+        engine.insert(vec![5, 4, 9, 3]).unwrap();
+        assert_cubes_equal(&engine);
+        assert!(!engine.last_delta().unwrap().touched().is_empty());
+        assert_eq!(engine.maintenance_stats().fast_inserts, 3);
     }
 
     #[test]
@@ -936,6 +952,95 @@ mod tests {
                 "seed {seed}: {stats:?}"
             );
         }
+    }
+
+    /// 400 rows over 4 values per dimension: many duplicates, and almost
+    /// every non-seed ties some seed value.
+    fn tied_dataset(seed: u64) -> Dataset {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = (0..400)
+            .map(|_| (0..4).map(|_| rng.gen_range(0..4)).collect())
+            .collect();
+        Dataset::from_rows(4, rows).unwrap()
+    }
+
+    fn retired_rows(engine: &StellarEngine) -> usize {
+        let cached = engine.cached.as_ref().expect("cache built");
+        cached
+            .reps
+            .iter()
+            .filter(|objects| objects.is_empty())
+            .count()
+    }
+
+    #[test]
+    fn non_seed_delete_stream_retires_bound_rows_then_a_recompute_compacts() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut engine = StellarEngine::new(&tied_dataset(8));
+        engine.cube().index();
+        for step in 0..150 {
+            let non_seeds: Vec<ObjId> = (0..engine.len() as ObjId)
+                .filter(|o| engine.cube().seeds().binary_search(o).is_err())
+                .collect();
+            engine
+                .delete(non_seeds[rng.gen_range(0..non_seeds.len())])
+                .unwrap();
+            assert_cubes_equal(&engine);
+            let stats = engine.maintenance_stats();
+            assert_eq!(
+                (stats.fast_deletes, stats.full()),
+                (step + 1, 0),
+                "step {step}: a non-seed delete recomputed"
+            );
+        }
+        assert!(retired_rows(&engine) > 0, "no bound row was retired");
+        assert!(engine.cube().has_index(), "a fast delete dropped the index");
+        // A row below every seed in A is a new seed: the recompute rebuilds
+        // the lattice over the live rows only.
+        engine.insert(vec![-1, 3, 3, 3]).unwrap();
+        assert_eq!(engine.maintenance_stats().full_inserts, 1);
+        assert_cubes_equal(&engine);
+        assert_eq!(retired_rows(&engine), 0, "the recompute kept dead rows");
+    }
+
+    #[test]
+    fn reinserting_a_deleted_rows_copy_binds_a_fresh_row() {
+        let mut engine = StellarEngine::new(&tied_dataset(9));
+        // A non-seed with no duplicate that some group holds, so that a
+        // wrong binding would change the cube.
+        let id = (0..engine.len() as ObjId)
+            .find(|&o| {
+                let row = engine.row(o);
+                engine.cube().seeds().binary_search(&o).is_err()
+                    && engine.cube().groups_of(o).next().is_some()
+                    && (0..engine.len() as ObjId)
+                        .filter(|&p| engine.row(p) == row)
+                        .count()
+                        == 1
+            })
+            .expect("the tied data holds such a non-seed");
+        let row = engine.delete(id).unwrap();
+        let cached = engine.cached.as_ref().unwrap();
+        assert_eq!(cached.non_seed_rows.get(&cached.bound, &row), None);
+        assert_eq!(retired_rows(&engine), 1);
+        let next_bound = cached.bound.len() as ObjId;
+        let copy = engine.insert(row.clone()).unwrap();
+        let stats = engine.maintenance_stats();
+        assert_eq!((stats.fast(), stats.full()), (2, 0));
+        assert_cubes_equal(&engine);
+        assert!(engine.cube().groups_of(copy).next().is_some());
+        let cached = engine.cached.as_ref().unwrap();
+        let fresh = cached
+            .non_seed_rows
+            .get(&cached.bound, &row)
+            .expect("the copy is a live bound row");
+        assert_eq!(fresh, next_bound, "the copy bound to an existing row");
+        assert_eq!(cached.reps[fresh as usize], vec![copy]);
+        assert_eq!(retired_rows(&engine), 1);
     }
 
     #[test]
