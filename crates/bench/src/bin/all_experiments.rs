@@ -15,7 +15,6 @@ fn main() {
     records.extend(figures::threads_ablation(&args));
     records.extend(figures::queries_ablation(&args));
     records.extend(figures::maintenance_ablation(&args));
-    records.extend(figures::sharded_ablation(&args));
     records.extend(figures::persist_ablation(&args));
     write_json_report(&args, "all_experiments", &records);
 }

@@ -561,216 +561,6 @@ pub fn queries_ablation(args: &HarnessArgs) -> Vec<JsonRecord> {
     records
 }
 
-/// Sharded-cube ablation — per-shard build cost vs shard count on a
-/// **planted-anchor** workload, plus merge-at-query equivalence and
-/// shard-local maintenance isolation.
-///
-/// The dataset plants `m` anti-correlated anchors and fills each of `M`
-/// chunks with rows strictly dominated by a chunk-local anchor. With
-/// contiguous range sharding aligned to the chunk grid, each shard's
-/// skyline filter window holds only its own `m/K` anchors, so the dominance-test
-/// volume shrinks by ~K — an honest single-core speedup source (this
-/// box has one core; thread counts are recorded, not exploited). Every
-/// sharded source is answer-checked against the K=1 reference across
-/// the full subspace sweep plus member/count/top probes.
-pub fn sharded_ablation(args: &HarnessArgs) -> Vec<JsonRecord> {
-    use skycube_datagen::{planted_anchors, planted_chunk_into};
-    use skycube_parallel::Parallelism;
-    use skycube_serve::{ShardedCube, SkylineSource};
-    use skycube_stellar::Stellar;
-    use skycube_types::{DimMask, ObjId, Value};
-
-    const CHUNKS: usize = 8;
-    let (n, d, m) = if args.full {
-        (10_000_000, 5, 2_560)
-    } else if args.smoke {
-        (40_960, 5, 320)
-    } else {
-        (1_024_000, 5, 1_280)
-    };
-    let rows_per_chunk = n / CHUNKS;
-    header(
-        &format!(
-            "Sharded cube — per-shard build and merge-at-query, planted-anchor \
-             {d}-d, {n} tuples, {m} anchors over {CHUNKS} chunks"
-        ),
-        args.full,
-    );
-    let par = Parallelism::available();
-    let runner = Stellar::new();
-    println!(
-        "workers: {} (build speedup comes from shard-local skyline windows, not threads)\n",
-        par.threads()
-    );
-
-    // The chunk grid is generated once; shard builds concatenate their
-    // chunks, so per-K timings cover cube construction, not generation.
-    let anchors = planted_anchors(m, d, SEED);
-    let chunks: Vec<Vec<Value>> = (0..CHUNKS)
-        .map(|c| {
-            let mut values = Vec::with_capacity(rows_per_chunk * d);
-            planted_chunk_into(&anchors, CHUNKS, c, rows_per_chunk, SEED, &mut values);
-            values
-        })
-        .collect();
-
-    let mut records = Vec::new();
-    let sweep: Vec<DimMask> = DimMask::full(d).subsets().collect();
-    let probes: [ObjId; 3] = [0, (n as ObjId) / 2, n as ObjId - 1];
-    type Reference = (Vec<Vec<ObjId>>, Vec<(bool, u64)>, Vec<(ObjId, u64)>);
-    let mut reference: Option<Reference> = None;
-    let mut baseline_seconds = 0.0;
-    let mut speedup_at_8 = 0.0;
-
-    table_header(&["shards", "build seconds", "speedup", "merged skyline"]);
-    for shards in [1usize, 2, 4, 8] {
-        let per_shard = CHUNKS / shards;
-        let sizes = vec![rows_per_chunk * per_shard; shards];
-        let t = std::time::Instant::now();
-        let mut cube = ShardedCube::build_streamed(d, &sizes, par, runner, |k| {
-            let mut values = Vec::with_capacity(rows_per_chunk * per_shard * d);
-            for chunk in &chunks[k * per_shard..(k + 1) * per_shard] {
-                values.extend_from_slice(chunk);
-            }
-            skycube_types::Dataset::from_flat(d, values).expect("chunk rows are well formed")
-        });
-        let seconds = t.elapsed().as_secs_f64();
-        if shards == 1 {
-            baseline_seconds = seconds;
-        }
-        let speedup = baseline_seconds / seconds.max(1e-9);
-        if shards == 8 {
-            speedup_at_8 = speedup;
-        }
-
-        let source = cube.source();
-        let skylines: Vec<Vec<ObjId>> = sweep
-            .iter()
-            .map(|&s| source.subspace_skyline(s).expect("sweep subspace is valid"))
-            .collect();
-        let members: Vec<(bool, u64)> = probes
-            .iter()
-            .map(|&o| {
-                (
-                    source
-                        .is_skyline_in(o, DimMask::full(d))
-                        .expect("probe object is valid"),
-                    source.membership_count(o).expect("probe object is valid"),
-                )
-            })
-            .collect();
-        let top = source.top_k_frequent(10);
-        match &reference {
-            None => reference = Some((skylines, members, top)),
-            Some((sky0, mem0, top0)) => {
-                assert_eq!(
-                    &skylines, sky0,
-                    "{shards}-shard skylines diverged from the unsharded reference"
-                );
-                assert_eq!(
-                    &members, mem0,
-                    "{shards}-shard member/count answers diverged from the reference"
-                );
-                assert_eq!(
-                    &top, top0,
-                    "{shards}-shard top-k diverged from the reference"
-                );
-            }
-        }
-        // `subsets()` descends from the full mask, so index 0 is the full
-        // space.
-        let full_skyline = reference.as_ref().expect("reference just set").0[0].len();
-
-        row(&[
-            shards.to_string(),
-            secs(seconds),
-            format!("{speedup:.2}×"),
-            full_skyline.to_string(),
-        ]);
-        records.push(
-            JsonRecord::new()
-                .str("figure", "sharded")
-                .str("workload", "build-scaling")
-                .int("n", n as i64)
-                .int("d", d as i64)
-                .int("anchors", m as i64)
-                .int("shards", shards as i64)
-                .int("threads", par.threads() as i64)
-                .num("build_seconds", seconds)
-                .num("speedup_vs_unsharded", speedup)
-                .int("verified_subspaces", sweep.len() as i64)
-                .int("full_space_skyline", full_skyline as i64),
-        );
-
-        // Shard-local maintenance on the widest fan-out: one insert routes
-        // to exactly one shard; the other K−1 keep their generations.
-        if shards == 8 {
-            let gens: Vec<u64> = (0..shards).map(|k| cube.shard_generation(k)).collect();
-            let dominated: Vec<Value> = anchors[0].iter().map(|v| v + 1).collect();
-            let t = std::time::Instant::now();
-            let id = cube.insert(dominated).expect("insert is well formed");
-            let patch_seconds = t.elapsed().as_secs_f64();
-            let delta_shard = cube
-                .last_delta()
-                .expect("insert records a delta")
-                .shard()
-                .expect("sharded insert stamps its shard");
-            let untouched = (0..shards)
-                .filter(|&k| k != delta_shard && cube.shard_generation(k) == gens[k])
-                .count();
-            assert_eq!(id as usize, n, "global ids continue past the shard build");
-            assert_eq!(
-                untouched,
-                shards - 1,
-                "an insert must leave the other shards' generations alone"
-            );
-            println!();
-            println!(
-                "maintenance: insert routed to shard {delta_shard} in {}; \
-                 {untouched}/{} shards untouched",
-                secs(patch_seconds),
-                shards - 1
-            );
-            records.push(
-                JsonRecord::new()
-                    .str("figure", "sharded")
-                    .str("workload", "maintenance")
-                    .int("shards", shards as i64)
-                    .int("delta_shard", delta_shard as i64)
-                    .int("untouched_shards", untouched as i64)
-                    .num("patch_seconds", patch_seconds),
-            );
-        }
-    }
-    println!();
-    println!(
-        "speedup at 8 shards: {speedup_at_8:.2}× (merged ≡ unsharded on all {} subspaces)",
-        sweep.len()
-    );
-    println!();
-
-    if args.verify && args.full {
-        assert!(
-            speedup_at_8 >= 3.0,
-            "the 8-shard build must be at least 3× faster than unsharded \
-             (got {speedup_at_8:.2}×)"
-        );
-    }
-    records.push(
-        JsonRecord::new()
-            .str("figure", "sharded")
-            .str("workload", "summary")
-            .int("n", n as i64)
-            .int("d", d as i64)
-            .int("anchors", m as i64)
-            .num("baseline_seconds", baseline_seconds)
-            .num("speedup_at_8", speedup_at_8)
-            .int("verified_subspaces", sweep.len() as i64)
-            .int("verified_probes", probes.len() as i64),
-    );
-    records
-}
-
 /// Maintenance ablation — delta patching vs rebuild-the-world:
 /// (a) a **single dominated insert** through the engine's patch path
 /// (seed lattice reused, extension chunks re-extended selectively, the

@@ -21,7 +21,4 @@ mod synthetic;
 pub use csv::{load_csv, read_csv, save_csv, write_csv};
 pub use nba::{nba_table, nba_table_raw, nba_table_sized, NBA_COLUMNS, NBA_DIMS, NBA_PLAYERS};
 pub use rng::{normal, normal_clamped, std_normal};
-pub use synthetic::{
-    generate, generate_chunk, generate_chunk_into, generate_chunked, planted_anchors,
-    planted_chunk_into, Distribution,
-};
+pub use synthetic::{generate, Distribution};

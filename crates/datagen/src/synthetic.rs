@@ -58,233 +58,15 @@ pub fn generate(dist: Distribution, count: usize, dims: usize, seed: u64) -> Dat
     let mut values: Vec<Value> = Vec::with_capacity(count * dims);
     let mut row = vec![0.0f64; dims];
     for _ in 0..count {
-        fill_row(dist, &mut rng, &centres, &mut row);
+        match dist {
+            Distribution::Independent => independent_row(&mut rng, &mut row),
+            Distribution::Correlated => correlated_row(&mut rng, &mut row),
+            Distribution::AntiCorrelated => anti_correlated_row(&mut rng, &mut row),
+            Distribution::Clustered => clustered_row(&mut rng, &centres, &mut row),
+        }
         values.extend(row.iter().map(|&x| truncate4(x)));
     }
     Dataset::from_flat(dims, values).expect("generator produces well-formed rows")
-}
-
-fn fill_row<R: Rng + ?Sized>(
-    dist: Distribution,
-    rng: &mut R,
-    centres: &[Vec<f64>],
-    row: &mut [f64],
-) {
-    match dist {
-        Distribution::Independent => independent_row(rng, row),
-        Distribution::Correlated => correlated_row(rng, row),
-        Distribution::AntiCorrelated => anti_correlated_row(rng, row),
-        Distribution::Clustered => clustered_row(rng, centres, row),
-    }
-}
-
-/// Derive the row rng seed of chunk `chunk` from the stream's base `seed`
-/// (splitmix64 finalizer over a golden-ratio offset), so chunks can be
-/// generated independently, in any order, on any worker, and always produce
-/// the same rows.
-fn chunk_seed(seed: u64, chunk: u64) -> u64 {
-    let mut z = seed ^ chunk.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Cluster centres of the *chunked* stream: a stream-global property, so
-/// they are derived from the base seed alone (never from a chunk seed) —
-/// every chunk of a [`Distribution::Clustered`] stream samples the same
-/// centres.
-fn stream_centres(dims: usize, seed: u64) -> Vec<Vec<f64>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..CLUSTERS)
-        .map(|_| (0..dims).map(|_| 0.15 + 0.7 * rng.gen::<f64>()).collect())
-        .collect()
-}
-
-/// Append chunk `chunk` (`rows` tuples) of the chunked synthetic stream
-/// `(dist, dims, seed)` onto `values` in flat row-major order.
-///
-/// The chunked stream is a deterministic function of `(dist, dims, seed,
-/// chunk, rows)` alone: chunk `c` is identical whether it is generated
-/// first, last, or on another worker, because each chunk owns an rng seeded
-/// by [`chunk_seed`] while stream-global state (the cluster centres) derives
-/// from the base seed. This is what lets an n=10M sharded build generate
-/// rows per shard instead of materializing one giant `Vec` up front. The
-/// stream is *distinct* from [`generate`]'s single-rng stream by design.
-pub fn generate_chunk_into(
-    dist: Distribution,
-    dims: usize,
-    seed: u64,
-    chunk: u64,
-    rows: usize,
-    values: &mut Vec<Value>,
-) {
-    let centres = match dist {
-        Distribution::Clustered => stream_centres(dims, seed),
-        _ => Vec::new(),
-    };
-    let mut rng = StdRng::seed_from_u64(chunk_seed(seed, chunk));
-    let mut row = vec![0.0f64; dims];
-    values.reserve(rows * dims);
-    for _ in 0..rows {
-        fill_row(dist, &mut rng, &centres, &mut row);
-        values.extend(row.iter().map(|&x| truncate4(x)));
-    }
-}
-
-/// Chunk `chunk` of the chunked stream as its own [`Dataset`].
-///
-/// # Panics
-/// Panics if `dims` is zero or exceeds [`skycube_types::MAX_DIMS`].
-pub fn generate_chunk(
-    dist: Distribution,
-    dims: usize,
-    seed: u64,
-    chunk: u64,
-    rows: usize,
-) -> Dataset {
-    let mut values = Vec::new();
-    generate_chunk_into(dist, dims, seed, chunk, rows, &mut values);
-    Dataset::from_flat(dims, values).expect("generator produces well-formed rows")
-}
-
-/// The whole chunked stream materialized: `count` tuples in chunks of
-/// `chunk_rows` (the last chunk may be short). Equal to concatenating
-/// [`generate_chunk`] over chunks `0..⌈count/chunk_rows⌉` — the fixed chunk
-/// grid is what makes a K-sharded build (each shard taking a contiguous run
-/// of chunks) see exactly the same global dataset for every K.
-///
-/// # Panics
-/// Panics if `chunk_rows` is zero, or if `dims` is zero or exceeds
-/// [`skycube_types::MAX_DIMS`].
-pub fn generate_chunked(
-    dist: Distribution,
-    count: usize,
-    dims: usize,
-    seed: u64,
-    chunk_rows: usize,
-) -> Dataset {
-    assert!(chunk_rows > 0, "chunk_rows must be at least 1");
-    let mut values = Vec::with_capacity(count * dims);
-    let mut chunk = 0u64;
-    let mut done = 0usize;
-    while done < count {
-        let rows = chunk_rows.min(count - done);
-        generate_chunk_into(dist, dims, seed, chunk, rows, &mut values);
-        done += rows;
-        chunk += 1;
-    }
-    Dataset::from_flat(dims, values).expect("generator produces well-formed rows")
-}
-
-// ---------------------------------------------------------------------
-// Planted-anchor workload
-// ---------------------------------------------------------------------
-
-/// Largest per-dimension offset a planted filler adds to its anchor.
-const PLANTED_OFFSET_MAX: i64 = SCALE_HALF / 2;
-/// Anchors live in `[0, SCALE_HALF)` so every anchor strictly dominates
-/// every filler derived from it (fillers add ≥ 1 per dimension).
-const SCALE_HALF: i64 = skycube_types::SCALE_4 / 2;
-
-/// Anchor rows of the planted-anchor adversarial workload: `count` rows on
-/// one **constant-sum plane** (every anchor's coordinates sum to the same
-/// real value before fixed-point truncation), scaled into `[0, SCALE_4/2)`
-/// per dimension. Equal sums make distinct anchors pairwise incomparable —
-/// lowering one coordinate raises another — so the full-space skyline of a
-/// planted stream is (up to rare truncation ties) its whole anchor set,
-/// and a skyline pass over the stream must scan an anchor window
-/// proportional to the anchors it holds. Each anchor strictly dominates
-/// every filler offset from it.
-pub fn planted_anchors(count: usize, dims: usize, seed: u64) -> Vec<Vec<Value>> {
-    let mut rng = StdRng::seed_from_u64(chunk_seed(seed, u64::MAX));
-    let mut row = vec![0.0f64; dims];
-    (0..count)
-        .map(|_| {
-            constant_sum_row(&mut rng, &mut row);
-            row.iter().map(|&x| truncate4(0.5 * x)).collect()
-        })
-        .collect()
-}
-
-/// Fill `row` with a random point on the `Σxᵢ = d/2` plane in `[0, 1)^d`:
-/// start uniform at 0.5 and apply mass-conserving pairwise transfers. The
-/// shared plane (unlike [`anti_correlated_row`]'s per-row random plane)
-/// makes distinct rows pairwise incomparable by construction.
-fn constant_sum_row<R: Rng + ?Sized>(rng: &mut R, row: &mut [f64]) {
-    let d = row.len();
-    row.fill(0.5);
-    if d == 1 {
-        return;
-    }
-    for _ in 0..d * 4 {
-        let i = rng.gen_range(0..d);
-        let mut j = rng.gen_range(0..d);
-        while j == i {
-            j = rng.gen_range(0..d);
-        }
-        let headroom = row[i].min((1.0 - f64::EPSILON) - row[j]);
-        if headroom <= 0.0 {
-            continue;
-        }
-        let t = rng.gen::<f64>() * headroom;
-        row[i] -= t;
-        row[j] += t;
-    }
-}
-
-/// Append chunk `chunk` of a planted-anchor stream of `chunks` total chunks
-/// onto `values`.
-///
-/// The anchor set is striped across the chunk grid: chunk `c` owns anchors
-/// `[c·m/chunks, (c+1)·m/chunks)`, emits each exactly once at the head of
-/// an even stripe of its rows, and fills every other row with a *filler*
-/// dominated by an anchor drawn uniformly from the chunk's own range. A
-/// filler's unique planted dominator therefore lives in the same chunk —
-/// the partition-local dominance property that makes a monolithic skyline
-/// pass scan a window of all `m` anchors while a K-shard build scans only
-/// `m/K`, which is what the sharded benchmark measures.
-///
-/// # Panics
-/// Panics if `chunk ≥ chunks`, if the chunk's anchor range is empty (every
-/// chunk must own at least one anchor: `anchors.len() ≥ chunks`), or if it
-/// does not fit in `rows`.
-pub fn planted_chunk_into(
-    anchors: &[Vec<Value>],
-    chunks: usize,
-    chunk: usize,
-    rows: usize,
-    seed: u64,
-    values: &mut Vec<Value>,
-) {
-    assert!(
-        chunk < chunks,
-        "chunk {chunk} out of range ({chunks} chunks)"
-    );
-    let m = anchors.len();
-    let lo = chunk * m / chunks;
-    let hi = (chunk + 1) * m / chunks;
-    let local = hi - lo;
-    assert!(
-        local >= 1,
-        "chunk {chunk} owns no anchors ({m} over {chunks})"
-    );
-    assert!(local <= rows, "{local} anchors do not fit in {rows} rows");
-    let dims = anchors[0].len();
-    let mut rng = StdRng::seed_from_u64(chunk_seed(seed, chunk as u64));
-    values.reserve(rows * dims);
-    // Anchor `lo + s` heads stripe `s` of the chunk's rows; every other row
-    // is a filler offset from a uniformly drawn local anchor.
-    let mut next = 0usize;
-    for r in 0..rows {
-        if next < local && r == next * rows / local {
-            values.extend(anchors[lo + next].iter().copied());
-            next += 1;
-        } else {
-            for &a in &anchors[lo + rng.gen_range(0..local)] {
-                values.push(a + 1 + rng.gen_range(0..PLANTED_OFFSET_MAX));
-            }
-        }
-    }
 }
 
 /// Each attribute i.i.d. uniform in `[0, 1)`.
@@ -463,120 +245,6 @@ mod tests {
         assert_eq!(Distribution::Independent.name(), "independent");
         assert_eq!(Distribution::AntiCorrelated.name(), "anti-correlated");
         assert_eq!(Distribution::Clustered.name(), "clustered");
-    }
-
-    #[test]
-    fn chunked_stream_is_chunk_order_independent() {
-        for dist in [
-            Distribution::Independent,
-            Distribution::AntiCorrelated,
-            Distribution::Clustered,
-        ] {
-            let whole = generate_chunked(dist, 1_000, 4, 11, 256);
-            // Chunks regenerated out of order concatenate to the same data.
-            let mut values = Vec::new();
-            for chunk in [3u64, 0, 2, 1] {
-                let rows = if chunk == 3 { 1_000 - 3 * 256 } else { 256 };
-                generate_chunk_into(dist, 4, 11, chunk, rows, &mut values);
-            }
-            let mut parts: Vec<Dataset> = (0..4)
-                .map(|c| {
-                    let rows = if c == 3 { 1_000 - 3 * 256 } else { 256 };
-                    generate_chunk(dist, 4, 11, c, rows)
-                })
-                .collect();
-            let mut flat = Vec::new();
-            for part in parts.drain(..) {
-                for o in part.ids() {
-                    flat.extend(part.row(o).iter().copied());
-                }
-            }
-            let glued = Dataset::from_flat(4, flat).unwrap();
-            assert_eq!(whole, glued, "{dist:?} chunk grid changed the stream");
-        }
-    }
-
-    #[test]
-    fn chunked_clustered_centres_are_stream_global() {
-        // If each chunk drew its own centres the per-chunk histograms would
-        // disagree; with stream-global centres the same bins dominate.
-        let a = generate_chunk(Distribution::Clustered, 2, 5, 0, 2_000);
-        let b = generate_chunk(Distribution::Clustered, 2, 5, 7, 2_000);
-        let bins = |ds: &Dataset| {
-            let mut bins = [0usize; 10];
-            for o in ds.ids() {
-                bins[(ds.value(o, 0) * 10 / SCALE_4).clamp(0, 9) as usize] += 1;
-            }
-            bins
-        };
-        let (ba, bb) = (bins(&a), bins(&b));
-        for i in 0..10 {
-            let (x, y) = (ba[i] as f64, bb[i] as f64);
-            assert!(
-                (x - y).abs() <= 0.2 * (x + y) + 40.0,
-                "chunk centre drift in bin {i}: {ba:?} vs {bb:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn chunked_stream_is_deterministic_and_seed_sensitive() {
-        let a = generate_chunked(Distribution::Independent, 500, 3, 21, 128);
-        let b = generate_chunked(Distribution::Independent, 500, 3, 21, 128);
-        let c = generate_chunked(Distribution::Independent, 500, 3, 22, 128);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn planted_anchors_dominate_their_fillers() {
-        let anchors = planted_anchors(32, 4, 9);
-        assert_eq!(anchors.len(), 32);
-        for a in &anchors {
-            assert!(a.iter().all(|&v| (0..SCALE_4 / 2).contains(&v)), "{a:?}");
-        }
-        let mut values = Vec::new();
-        planted_chunk_into(&anchors, 4, 1, 200, 9, &mut values);
-        let ds = Dataset::from_flat(4, values).unwrap();
-        assert_eq!(ds.len(), 200);
-        // Chunk 1 owns anchors [8, 16); every row is one of them or is
-        // strictly dominated by one of them.
-        let mut anchors_seen = 0;
-        for o in ds.ids() {
-            let row: Vec<Value> = (0..4).map(|d| ds.value(o, d)).collect();
-            if anchors[8..16].contains(&row) {
-                anchors_seen += 1;
-                continue;
-            }
-            let planted = anchors[8..16]
-                .iter()
-                .any(|a| a.iter().zip(&row).all(|(&av, &rv)| av < rv));
-            assert!(planted, "row {o} {row:?} has no local planted dominator");
-        }
-        assert_eq!(anchors_seen, 8, "each local anchor appears exactly once");
-    }
-
-    #[test]
-    fn planted_anchors_are_mostly_pairwise_incomparable() {
-        // The constant-sum construction makes distinct anchors incomparable
-        // up to fixed-point truncation ties, so a planted stream's skyline
-        // window stays proportional to its anchor count — the property the
-        // sharded-build benchmark leans on.
-        let anchors = planted_anchors(320, 5, 20070415);
-        let dominated = anchors
-            .iter()
-            .filter(|a| {
-                anchors.iter().any(|b| {
-                    b != *a
-                        && b.iter().zip(a.iter()).all(|(&bv, &av)| bv <= av)
-                        && b.iter().zip(a.iter()).any(|(&bv, &av)| bv < av)
-                })
-            })
-            .count();
-        assert!(
-            dominated * 20 < anchors.len(),
-            "more than 5% of anchors dominated ({dominated}/320)"
-        );
     }
 
     #[test]

@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
@@ -127,29 +126,6 @@ where
     par_map_indexed(par, items.len(), |i| f(&items[i]))
 }
 
-/// Split `0..len` into at most `chunks` contiguous ranges of near-equal
-/// size (the first `len % chunks` ranges are one element longer).
-/// Returns fewer ranges when `len < chunks`; never returns an empty
-/// range.
-pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<Range<usize>> {
-    assert!(chunks > 0, "chunk count must be positive");
-    let chunks = chunks.min(len);
-    if chunks == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(chunks);
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut start = 0;
-    for i in 0..chunks {
-        let size = base + usize::from(i < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    debug_assert_eq!(start, len);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,22 +175,5 @@ mod tests {
         let items = vec!["a", "bb", "ccc", "dddd"];
         let lens = par_map_slice(Parallelism::new(2), &items, |s| s.len());
         assert_eq!(lens, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn chunk_ranges_partition_exactly() {
-        for len in [0usize, 1, 2, 5, 17, 100] {
-            for chunks in [1usize, 2, 3, 4, 9] {
-                let ranges = chunk_ranges(len, chunks);
-                assert!(ranges.len() <= chunks);
-                let mut expect = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, expect, "len={len} chunks={chunks}");
-                    assert!(!r.is_empty(), "len={len} chunks={chunks}");
-                    expect = r.end;
-                }
-                assert_eq!(expect, len, "len={len} chunks={chunks}");
-            }
-        }
     }
 }

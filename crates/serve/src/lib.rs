@@ -2,17 +2,15 @@
 //!
 //! The paper's pitch is that the compressed cube makes subspace-skyline
 //! queries cheap; this crate is where that pitch meets query traffic. It
-//! unifies the four ways the workspace can answer the paper's query
-//! families behind one [`SkylineSource`] trait:
+//! puts the three ways the workspace answers the paper's query families
+//! behind one [`SkylineSource`] trait:
 //!
 //! - the **indexed Stellar cube** ([`IndexedCubeSource`], backed by
 //!   [`skycube_stellar::CubeIndex`]) — the serving path;
 //! - the **scan-path Stellar cube** ([`ScanCubeSource`]) — the reference
 //!   implementation the index is property-tested against;
-//! - the materialized **SkyCube** of Yuan et al. ([`SkyCubeSource`]);
-//! - the **SUBSKY** sorted index ([`SubskySource`]);
-//! - the **SUBSKY** multi-anchor index ([`AnchoredSubskySource`]);
-//! - **direct computation** from the dataset ([`DirectSource`]).
+//! - **direct computation** from the dataset ([`DirectSource`]) — the
+//!   last rung of the fallback ladder and the k ≥ 2 skyband's engine.
 //!
 //! On top of the trait sit an LRU subspace→skyline cache
 //! ([`CachedSource`]) and a batched executor ([`run_batch`]) that fans a
@@ -45,7 +43,6 @@ mod fallback;
 #[cfg(feature = "faults")]
 pub mod faults;
 mod pool;
-mod shard;
 mod source;
 pub mod wal;
 mod workload;
@@ -58,10 +55,8 @@ pub use daemon::{Daemon, DaemonConfig, DaemonMetrics};
 pub use error::ServeError;
 pub use fallback::FallbackSource;
 pub use pool::{PoolConfig, PoolStream};
-pub use shard::{ShardPlan, ShardedCube, ShardedSource};
 pub use source::{
-    AnchoredSubskySource, DirectSource, IndexStats, IndexedCubeSource, RouteStats, ScanCubeSource,
-    SkyCubeSource, SkylineSource, SubskySource,
+    DirectSource, IndexStats, IndexedCubeSource, RouteStats, ScanCubeSource, SkylineSource,
 };
 pub use wal::{recover, CheckpointData, Recovery, TornTail, Wal, WalOpen, WalRecord};
 pub use workload::{parse_query_line, parse_workload, Query};

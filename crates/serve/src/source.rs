@@ -1,13 +1,11 @@
-//! The unified [`SkylineSource`] trait and its six implementations.
+//! The unified [`SkylineSource`] trait and its three implementations.
 
 use crate::cache::CacheStats;
 use crate::error::ServeError;
-use skycube_skyey::SkyCube;
 use skycube_skyline::{k_skyband, skyline};
 use skycube_stellar::{
     CompressedSkylineCube, CubeIndex, IndexScratch, MemoOutcome, MergeRoute, QueryBudget,
 };
-use skycube_subsky::{AnchoredSubskyIndex, SubskyIndex};
 use skycube_types::{Dataset, DimMask, ObjId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -59,8 +57,8 @@ impl IndexStats {
         self.routes.iter().map(|r| r.queries).sum()
     }
 
-    /// Field-wise `self += other`, for aggregating the counters of several
-    /// indexes (one per shard) into one report.
+    /// Field-wise `self += other`, for folding per-batch deltas into
+    /// running totals.
     pub fn accumulate(&mut self, other: &IndexStats) {
         for i in 0..self.routes.len() {
             self.routes[i].queries += other.routes[i].queries;
@@ -427,223 +425,6 @@ impl SkylineSource for ScanCubeSource<'_> {
 }
 
 // ---------------------------------------------------------------------
-// Skyey's materialized SkyCube
-// ---------------------------------------------------------------------
-
-/// The materialized all-subspaces SkyCube: every skyline is a lookup; the
-/// analytics enumerate the stored subspaces.
-pub struct SkyCubeSource<'a> {
-    cube: &'a SkyCube,
-    num_objects: usize,
-}
-
-impl<'a> SkyCubeSource<'a> {
-    /// Wrap a materialized SkyCube. `num_objects` is the dataset size (the
-    /// SkyCube itself only stores skylines).
-    pub fn new(cube: &'a SkyCube, num_objects: usize) -> Self {
-        SkyCubeSource { cube, num_objects }
-    }
-}
-
-impl SkylineSource for SkyCubeSource<'_> {
-    fn label(&self) -> &'static str {
-        "skyey"
-    }
-
-    fn dims(&self) -> usize {
-        self.cube.dims()
-    }
-
-    fn num_objects(&self) -> usize {
-        self.num_objects
-    }
-
-    fn subspace_skyline(&self, space: DimMask) -> Result<Vec<ObjId>, ServeError> {
-        check_space(space, self.dims())?;
-        self.cube
-            .skyline(space)
-            .map(<[ObjId]>::to_vec)
-            .ok_or_else(|| ServeError::Internal(format!("subspace {space} not materialized")))
-    }
-
-    fn is_skyline_in(&self, o: ObjId, space: DimMask) -> Result<bool, ServeError> {
-        check_object(o, self.num_objects)?;
-        let sky = self.subspace_skyline(space)?;
-        Ok(sky.binary_search(&o).is_ok())
-    }
-
-    fn membership_count(&self, o: ObjId) -> Result<u64, ServeError> {
-        check_object(o, self.num_objects)?;
-        Ok(self
-            .cube
-            .iter()
-            .filter(|(_, sky)| sky.binary_search(&o).is_ok())
-            .count() as u64)
-    }
-
-    fn top_k_frequent(&self, k: usize) -> Vec<(ObjId, u64)> {
-        let mut freq = vec![0u64; self.num_objects];
-        for (_, sky) in self.cube.iter() {
-            for &o in sky {
-                freq[o as usize] += 1;
-            }
-        }
-        rank_frequencies(&freq, k)
-    }
-}
-
-// ---------------------------------------------------------------------
-// SUBSKY sorted index
-// ---------------------------------------------------------------------
-
-/// The SUBSKY one-dimensional sorted index: every query is an
-/// early-terminating scan; the analytics enumerate subspaces on the fly.
-pub struct SubskySource<'a> {
-    index: SubskyIndex<'a>,
-}
-
-impl<'a> SubskySource<'a> {
-    /// Build the sorted index over `ds`.
-    pub fn new(ds: &'a Dataset) -> Self {
-        SubskySource {
-            index: SubskyIndex::build(ds),
-        }
-    }
-}
-
-impl SkylineSource for SubskySource<'_> {
-    fn label(&self) -> &'static str {
-        "subsky"
-    }
-
-    fn dims(&self) -> usize {
-        self.index.dataset().dims()
-    }
-
-    fn num_objects(&self) -> usize {
-        self.index.len()
-    }
-
-    fn subspace_skyline(&self, space: DimMask) -> Result<Vec<ObjId>, ServeError> {
-        check_space(space, self.dims())?;
-        Ok(self.index.skyline(space))
-    }
-
-    fn skyband(&self, k: usize, space: DimMask) -> Result<Vec<ObjId>, ServeError> {
-        check_skyband_k(k, space)?;
-        check_space(space, self.dims())?;
-        Ok(k_skyband(self.index.dataset(), space, k))
-    }
-
-    fn is_skyline_in(&self, o: ObjId, space: DimMask) -> Result<bool, ServeError> {
-        check_object(o, self.num_objects())?;
-        let sky = self.subspace_skyline(space)?;
-        Ok(sky.binary_search(&o).is_ok())
-    }
-
-    fn membership_count(&self, o: ObjId) -> Result<u64, ServeError> {
-        check_object(o, self.num_objects())?;
-        let full = DimMask::full(self.dims());
-        Ok(full
-            .subsets()
-            .filter(|&s| self.index.skyline(s).binary_search(&o).is_ok())
-            .count() as u64)
-    }
-
-    fn top_k_frequent(&self, k: usize) -> Vec<(ObjId, u64)> {
-        let mut freq = vec![0u64; self.num_objects()];
-        for s in DimMask::full(self.dims()).subsets() {
-            for o in self.index.skyline(s) {
-                freq[o as usize] += 1;
-            }
-        }
-        rank_frequencies(&freq, k)
-    }
-}
-
-// ---------------------------------------------------------------------
-// SUBSKY multi-anchor index
-// ---------------------------------------------------------------------
-
-/// The multi-anchor SUBSKY index: objects are banded around anchor corners
-/// and each query early-terminates per anchor list — the paper's "real
-/// data" variant of the sorted index.
-pub struct AnchoredSubskySource<'a> {
-    index: AnchoredSubskyIndex<'a>,
-    dims: usize,
-    num_objects: usize,
-}
-
-impl<'a> AnchoredSubskySource<'a> {
-    /// Default anchor count when none is configured.
-    pub const DEFAULT_ANCHORS: usize = 4;
-
-    /// Build with [`Self::DEFAULT_ANCHORS`] anchor corners.
-    pub fn new(ds: &'a Dataset) -> Self {
-        Self::with_anchors(ds, Self::DEFAULT_ANCHORS)
-    }
-
-    /// Build with an explicit anchor count (clamped to ≥ 1 by the index).
-    pub fn with_anchors(ds: &'a Dataset, anchors: usize) -> Self {
-        AnchoredSubskySource {
-            index: AnchoredSubskyIndex::build(ds, anchors),
-            dims: ds.dims(),
-            num_objects: ds.len(),
-        }
-    }
-
-    /// Number of anchor lists actually materialized.
-    pub fn num_anchors(&self) -> usize {
-        self.index.num_anchors()
-    }
-}
-
-impl SkylineSource for AnchoredSubskySource<'_> {
-    fn label(&self) -> &'static str {
-        "subsky-anchored"
-    }
-
-    fn dims(&self) -> usize {
-        self.dims
-    }
-
-    fn num_objects(&self) -> usize {
-        self.num_objects
-    }
-
-    fn subspace_skyline(&self, space: DimMask) -> Result<Vec<ObjId>, ServeError> {
-        // The underlying index panics on invalid subspaces; validate first.
-        check_space(space, self.dims)?;
-        Ok(self.index.skyline(space))
-    }
-
-    fn is_skyline_in(&self, o: ObjId, space: DimMask) -> Result<bool, ServeError> {
-        check_object(o, self.num_objects)?;
-        let sky = self.subspace_skyline(space)?;
-        Ok(sky.binary_search(&o).is_ok())
-    }
-
-    fn membership_count(&self, o: ObjId) -> Result<u64, ServeError> {
-        check_object(o, self.num_objects)?;
-        let full = DimMask::full(self.dims);
-        Ok(full
-            .subsets()
-            .filter(|&s| self.index.skyline(s).binary_search(&o).is_ok())
-            .count() as u64)
-    }
-
-    fn top_k_frequent(&self, k: usize) -> Vec<(ObjId, u64)> {
-        let mut freq = vec![0u64; self.num_objects];
-        for s in DimMask::full(self.dims).subsets() {
-            for o in self.index.skyline(s) {
-                freq[o as usize] += 1;
-            }
-        }
-        rank_frequencies(&freq, k)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Direct computation
 // ---------------------------------------------------------------------
 
@@ -741,15 +522,10 @@ mod tests {
     fn all_sources_agree_on_running_example() {
         let ds = running_example();
         let cube = compute_cube(&ds);
-        let skycube = SkyCube::compute(&ds);
         let indexed = IndexedCubeSource::new(&cube);
         let scan = ScanCubeSource::new(&cube);
-        let skyey = SkyCubeSource::new(&skycube, ds.len());
-        let subsky = SubskySource::new(&ds);
-        let anchored = AnchoredSubskySource::new(&ds);
         let direct = DirectSource::new(&ds);
-        let sources: [&dyn SkylineSource; 6] =
-            [&indexed, &scan, &skyey, &subsky, &anchored, &direct];
+        let sources: [&dyn SkylineSource; 3] = [&indexed, &scan, &direct];
         for space in ds.full_space().subsets() {
             let expect = scan.subspace_skyline(space).unwrap();
             for s in sources {
@@ -790,15 +566,10 @@ mod tests {
         // example; every source must put id 1 first.
         let ds = running_example();
         let cube = compute_cube(&ds);
-        let skycube = SkyCube::compute(&ds);
         let indexed = IndexedCubeSource::new(&cube);
         let scan = ScanCubeSource::new(&cube);
-        let skyey = SkyCubeSource::new(&skycube, ds.len());
-        let subsky = SubskySource::new(&ds);
-        let anchored = AnchoredSubskySource::new(&ds);
         let direct = DirectSource::new(&ds);
-        let sources: [&dyn SkylineSource; 6] =
-            [&indexed, &scan, &skyey, &subsky, &anchored, &direct];
+        let sources: [&dyn SkylineSource; 3] = [&indexed, &scan, &direct];
         for s in sources {
             let top = s.top_k_frequent(2);
             assert_eq!(top, vec![(1, 10), (4, 10)], "{}", s.label());
@@ -809,15 +580,10 @@ mod tests {
     fn invalid_inputs_are_diagnosed_uniformly() {
         let ds = running_example();
         let cube = compute_cube(&ds);
-        let skycube = SkyCube::compute(&ds);
         let indexed = IndexedCubeSource::new(&cube);
         let scan = ScanCubeSource::new(&cube);
-        let skyey = SkyCubeSource::new(&skycube, ds.len());
-        let subsky = SubskySource::new(&ds);
-        let anchored = AnchoredSubskySource::new(&ds);
         let direct = DirectSource::new(&ds);
-        let sources: [&dyn SkylineSource; 6] =
-            [&indexed, &scan, &skyey, &subsky, &anchored, &direct];
+        let sources: [&dyn SkylineSource; 3] = [&indexed, &scan, &direct];
         for s in sources {
             assert!(s.subspace_skyline(DimMask::EMPTY).is_err(), "{}", s.label());
             assert!(
@@ -888,17 +654,6 @@ mod tests {
         let delta = IndexStats::delta(&before, &after);
         assert_eq!(delta.total_queries(), 1);
         assert_eq!(delta.runs_hist.iter().sum::<u64>(), 1);
-    }
-
-    #[test]
-    fn anchored_source_reports_its_shape() {
-        let ds = running_example();
-        let anchored = AnchoredSubskySource::with_anchors(&ds, 2);
-        assert_eq!(anchored.label(), "subsky-anchored");
-        assert!(anchored.num_anchors() >= 1);
-        assert_eq!(anchored.dims(), ds.dims());
-        assert_eq!(anchored.num_objects(), ds.len());
-        assert_eq!(anchored.subspace_skyline(mask("B")).unwrap(), vec![2, 3, 4]);
     }
 
     #[test]

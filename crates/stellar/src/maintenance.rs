@@ -102,11 +102,6 @@ pub struct MaintenanceDelta {
     inserted: Option<ObjId>,
     deleted: Option<ObjId>,
     spliced: bool,
-    /// Which shard of a sharded deployment the mutation landed on; `None`
-    /// for a standalone engine. Stamped by the sharding layer (the engine
-    /// itself does not know its shard), so the other shards' caches can be
-    /// left untouched.
-    shard: Option<usize>,
 }
 
 impl MaintenanceDelta {
@@ -119,21 +114,7 @@ impl MaintenanceDelta {
             inserted: None,
             deleted: None,
             spliced: false,
-            shard: None,
         }
-    }
-
-    /// Stamp the delta with the shard the mutation was routed to. Object
-    /// ids in the delta stay *shard-local*; the sharding layer owns the
-    /// global↔local mapping.
-    pub fn with_shard(mut self, shard: usize) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
-    /// The shard the mutation landed on, if stamped by a sharding layer.
-    pub fn shard(&self) -> Option<usize> {
-        self.shard
     }
 
     /// The engine generation this delta produced.
@@ -518,7 +499,6 @@ impl StellarEngine {
             inserted: Some(id),
             deleted: None,
             spliced,
-            shard: None,
         });
     }
 
@@ -655,7 +635,6 @@ impl StellarEngine {
             inserted,
             deleted,
             spliced,
-            shard: None,
         });
     }
 
@@ -1097,21 +1076,6 @@ mod tests {
         assert!(engine.insert(vec![1]).is_err());
         assert!(engine.delete(99).is_err());
         assert_eq!(engine.generation(), generation);
-    }
-
-    #[test]
-    fn delta_shard_stamp_round_trips() {
-        let mut engine = StellarEngine::new(&running_example());
-        engine.insert(vec![9, 9, 11, 9]).unwrap();
-        let delta = engine.last_delta().unwrap().clone();
-        assert_eq!(delta.shard(), None, "engines never stamp shards");
-        let stamped = delta.with_shard(3);
-        assert_eq!(stamped.shard(), Some(3));
-        assert_eq!(stamped.generation(), engine.generation());
-        assert_eq!(
-            MaintenanceDelta::full_rebuild(7).with_shard(0).shard(),
-            Some(0)
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! binary format ([`binary`]) that ships the serving index inside the file.
 //!
 //! The load paths here auto-detect the format by magic — [`read_cube`] and
-//! [`load_cube`] accept either — so callers (CLI, sharded reopen, benches)
+//! [`load_cube`] accept either — so callers (CLI, daemon recovery, benches)
 //! never need to know which format a path holds. The save paths stay
 //! explicit: [`save_cube`]/[`write_cube`] write text, and
 //! [`save_cube_binary`]/[`write_cube_binary`] write binary.

@@ -64,44 +64,34 @@ commands:
   generate --dist <correlated|independent|anti-correlated> --count N --dims D
            [--seed S] --out FILE.csv
   generate --nba [--count N] [--seed S] --out FILE.csv
-  build    --data FILE.csv --out CUBE [--threads N] [--shards K]
+  build    --data FILE.csv --out CUBE [--threads N]
            [--format text|binary]             materialize the cube (Stellar);
-                                              --shards writes one cube per
-                                              contiguous shard to OUT.shard0..K-1;
                                               --format binary ships the built
                                               serving index inside the file so
                                               later loads validate instead of
                                               rebuilding (all load paths
                                               auto-detect the format by magic)
-  stats    --data FILE.csv [--threads N] [--maintain N] [--shards K]
+  stats    --data FILE.csv [--threads N] [--maintain N]
                                               counts: seeds, groups, skycube size;
                                               --maintain pushes N synthetic
                                               insert+delete pairs through the
                                               incremental maintenance path and
-                                              prints fast/full/spliced counters;
-                                              with --shards it instead routes N
-                                              inserts to the owning shard and
-                                              prints per-shard generations
+                                              prints fast/full/spliced counters
   skyline  --cube CUBE.txt --space LETTERS    subspace skyline query
   member   --cube CUBE.txt --object ID --space LETTERS
   top      --cube CUBE.txt --k N              most frequent skyline objects
   query    --data FILE.csv [--cube CUBE.txt]  run a batch query workload
-           [--source stellar|stellar-scan|skyey|subsky|subsky-anchored|direct]
-           [--workload FILE|-] [--cache N] [--threads N] [--shards K]
-           [--anchors N] [--stats] [--deadline-ms MS] [--fallback]
-           [--inject-faults SPEC]
+           [--source stellar|stellar-scan|direct]
+           [--workload FILE|-] [--cache N] [--threads N] [--stats]
+           [--deadline-ms MS] [--fallback] [--inject-faults SPEC]
            workload lines: 'skyline ABD', 'member 17 ABD', 'count 17',
            'top 5'; blank lines and # comments are ignored; --workload -
-           (the default) reads from stdin; --stats prints per-merge-route
-           timings and lattice-memo counters for the indexed source;
-           --deadline-ms bounds each query; --fallback (stellar only)
-           installs the indexed -> scan -> direct degradation ladder;
-           --shards K (stellar and stellar-scan, needs --data) partitions
-           the dataset into K contiguous shards, builds one cube per
-           shard, and merges per-shard skylines at query time with a
-           built-in per-shard indexed -> scan ladder; with --cube BASE it
-           instead reopens the cubes written by build --shards from
-           BASE.shard0..K-1 (either format);
+           (the default) reads from stdin; --cube (stellar and
+           stellar-scan) loads the cube instead of building it from
+           --data; --stats prints per-merge-route timings and
+           lattice-memo counters for the indexed source; --deadline-ms
+           bounds each query; --fallback (stellar only) installs the
+           indexed -> scan -> direct degradation ladder;
            --inject-faults (builds with the `faults` feature only) forces
            failures: panic-route[=N],slow-route=MS,corrupt-cube,
            poison-cache,seed=N
@@ -149,14 +139,13 @@ type Opts = HashMap<String, String>;
 fn known_options(cmd: &str) -> Option<(&'static str, &'static str)> {
     Some(match cmd {
         "generate" => ("dist count dims seed out", "nba"),
-        "build" => ("data out threads shards format", ""),
-        "stats" => ("data threads maintain shards", ""),
+        "build" => ("data out threads format", ""),
+        "stats" => ("data threads maintain", ""),
         "skyline" => ("cube space", ""),
         "member" => ("cube object space", ""),
         "top" => ("cube k", ""),
         "query" => (
-            "data cube source workload cache threads shards anchors deadline-ms \
-             inject-faults",
+            "data cube source workload cache threads deadline-ms inject-faults",
             "stats fallback",
         ),
         "serve" => (
@@ -257,21 +246,6 @@ fn runner(opts: &Opts) -> Result<Stellar, String> {
     Ok(runner)
 }
 
-/// `--shards K`: the shard count for the sharded build/serve paths.
-/// `None` when absent; `--shards 0` is rejected with a diagnostic.
-fn shard_count(opts: &Opts) -> Result<Option<usize>, String> {
-    match opts.get("shards") {
-        Some(s) => {
-            let shards: usize = num(s, "shard count")?;
-            if shards == 0 {
-                return Err("--shards must be at least 1".to_owned());
-            }
-            Ok(Some(shards))
-        }
-        None => Ok(None),
-    }
-}
-
 /// How `build` writes its cubes, selected by `--format`.
 type SaveFn = fn(&CompressedSkylineCube, &str) -> skycube::types::Result<()>;
 
@@ -290,23 +264,6 @@ fn cmd_build(opts: &Opts) -> Result<(), String> {
     let ds = load_data(opts)?;
     let out = req(opts, "out")?;
     let save = save_format(opts)?;
-    if let Some(shards) = shard_count(opts)? {
-        let t = std::time::Instant::now();
-        let cube = ShardedCube::build_with(&ds, shards, Parallelism::available(), runner(opts)?);
-        let mut groups = 0;
-        for k in 0..cube.num_shards() {
-            let path = format!("{out}.shard{k}");
-            save(cube.engine(k).cube(), &path).map_err(|e| e.to_string())?;
-            groups += cube.engine(k).cube().num_groups();
-        }
-        println!(
-            "built {shards} shard cubes in {:.2?}: {groups} groups over {} objects → {out}.shard0..{}",
-            t.elapsed(),
-            cube.num_objects(),
-            shards - 1
-        );
-        return Ok(());
-    }
     let t = std::time::Instant::now();
     let cube = runner(opts)?.compute(&ds);
     save(&cube, out).map_err(|e| e.to_string())?;
@@ -321,9 +278,6 @@ fn cmd_build(opts: &Opts) -> Result<(), String> {
 
 fn cmd_stats(opts: &Opts) -> Result<(), String> {
     let ds = load_data(opts)?;
-    if let Some(shards) = shard_count(opts)? {
-        return sharded_stats(&ds, shards, opts);
-    }
     let mut engine = StellarEngine::with_runner(&ds, runner(opts)?);
     let cube = engine.cube();
     println!("objects:                  {}", cube.num_objects());
@@ -338,62 +292,6 @@ fn cmd_stats(opts: &Opts) -> Result<(), String> {
     if let Some(m) = opts.get("maintain") {
         let reps: usize = num(m, "maintenance mutation count")?;
         maintain_report(&ds, &mut engine, reps)?;
-    }
-    Ok(())
-}
-
-/// `stats --shards K`: per-shard object/group/skyline counts plus the
-/// merged full-space skyline size. With `--maintain N` it routes N
-/// synthetic inserts through the sharded maintenance path and prints the
-/// per-shard generations — only the owning shard's generation advances.
-fn sharded_stats(ds: &Dataset, shards: usize, opts: &Opts) -> Result<(), String> {
-    let mut cube = ShardedCube::build_with(ds, shards, Parallelism::available(), runner(opts)?);
-    println!("objects:                  {}", cube.num_objects());
-    println!("dimensions:               {}", cube.dims());
-    println!("shards:                   {}", cube.num_shards());
-    for k in 0..cube.num_shards() {
-        let c = cube.engine(k).cube();
-        println!(
-            "  shard {k}: {} objects, {} groups, {} full-space skyline, {} subspace objects",
-            c.num_objects(),
-            c.num_groups(),
-            c.seeds().len(),
-            c.skycube_size()
-        );
-    }
-    let merged = cube
-        .source()
-        .subspace_skyline(DimMask::full(cube.dims()))
-        .map_err(|e| e.to_string())?;
-    println!("merged full-space skyline: {}", merged.len());
-    if let Some(m) = opts.get("maintain") {
-        let reps: usize = num(m, "maintenance mutation count")?;
-        let Some(template) = merged.first().map(|&o| {
-            let (k, l) = cube.plan().to_local(o);
-            cube.engine(k).row(l).to_vec()
-        }) else {
-            return Err("--maintain needs a non-empty dataset".to_owned());
-        };
-        let dims = cube.dims();
-        let t = std::time::Instant::now();
-        for r in 0..reps {
-            let mut row = template.clone();
-            row[r % dims] += 1;
-            cube.insert(row).map_err(|e| e.to_string())?;
-        }
-        let seconds = t.elapsed().as_secs_f64();
-        let s = cube.maintenance_stats();
-        println!("sharded maintenance ({reps} inserts):");
-        println!("  seconds:                {seconds:.6}");
-        println!("  fast inserts:           {}", s.fast_inserts);
-        println!("  full inserts:           {}", s.full_inserts);
-        println!("  spliced index updates:  {}", s.spliced);
-        for k in 0..cube.num_shards() {
-            println!("  shard {k} generation:     {}", cube.shard_generation(k));
-        }
-        if let Some(delta) = cube.last_delta() {
-            println!("  last delta shard:       {:?}", delta.shard());
-        }
     }
     Ok(())
 }
@@ -487,6 +385,22 @@ fn cmd_top(opts: &Opts) -> Result<(), String> {
 /// [`SkylineSource`], print one answer per line plus a `#`-prefixed stats
 /// summary.
 fn cmd_query(opts: &Opts) -> Result<(), String> {
+    // Refuse the source options the chosen source does not read, before
+    // any work.
+    let source = opts.get("source").map_or("stellar", String::as_str);
+    let unread: &[&str] = match source {
+        "stellar" => &[],
+        "stellar-scan" => &["fallback"],
+        "direct" => &["fallback", "cube"],
+        other => {
+            return Err(format!(
+                "unknown --source {other:?} (expected stellar, stellar-scan or direct)"
+            ))
+        }
+    };
+    if let Some(opt) = unread.iter().find(|&&opt| opts.contains_key(opt)) {
+        return Err(format!("--{opt} is not read by --source {source}"));
+    }
     let text = match opts.get("workload").map(String::as_str) {
         None | Some("-") => {
             use std::io::Read;
@@ -546,37 +460,8 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
         plan,
     };
 
-    if let Some(shards) = shard_count(opts)? {
-        let source_name = opts.get("source").map_or("stellar", String::as_str);
-        if !matches!(source_name, "stellar" | "stellar-scan") {
-            return Err(format!(
-                "--shards supports only the stellar and stellar-scan sources, not {source_name:?}"
-            ));
-        }
-        let ds = load_data(opts)?;
-        // With --cube BASE the per-shard cubes are reopened from
-        // BASE.shard0..K-1 (either format, auto-detected) instead of being
-        // rebuilt; binary shard cubes serve straight from their zero-copy
-        // indexes.
-        let cube = match opts.get("cube") {
-            Some(base) => {
-                let cubes = (0..shards)
-                    .map(|k| stellar::load_cube(format!("{base}.shard{k}")))
-                    .collect::<skycube::types::Result<Vec<_>>>()
-                    .map_err(|e| e.to_string())?;
-                ShardedCube::from_cubes(&ds, cubes, runner(opts)?).map_err(|e| e.to_string())?
-            }
-            None => ShardedCube::build_with(&ds, shards, par, runner(opts)?),
-        };
-        return if source_name == "stellar" {
-            serve_workload(cube.source(), &queries, &serving)
-        } else {
-            serve_workload(cube.scan_source(), &queries, &serving)
-        };
-    }
-
-    // A stellar cube comes from --cube when given, otherwise it (like every
-    // other engine) is built from --data.
+    // A stellar cube comes from --cube when given, otherwise it is built
+    // from --data.
     let stellar_cube = |opts: &Opts| -> Result<CompressedSkylineCube, String> {
         if opts.contains_key("cube") {
             load_cube(opts)
@@ -584,7 +469,7 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
             Ok(runner(opts)?.compute(&load_data(opts)?))
         }
     };
-    match opts.get("source").map_or("stellar", String::as_str) {
+    match source {
         "stellar" => {
             #[cfg(feature = "faults")]
             let want_fallback = opts.contains_key("fallback") || serving.plan.is_active();
@@ -624,35 +509,11 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
             let cube = stellar_cube(opts)?;
             serve_workload(ScanCubeSource::new(&cube), &queries, &serving)
         }
-        "skyey" => {
-            let ds = load_data(opts)?;
-            let skycube = SkyCube::compute(&ds);
-            serve_workload(SkyCubeSource::new(&skycube, ds.len()), &queries, &serving)
-        }
-        "subsky" => {
-            let ds = load_data(opts)?;
-            serve_workload(SubskySource::new(&ds), &queries, &serving)
-        }
-        "subsky-anchored" => {
-            let ds = load_data(opts)?;
-            let anchors = match opts.get("anchors") {
-                Some(n) => num::<usize>(n, "anchor count")?,
-                None => AnchoredSubskySource::DEFAULT_ANCHORS,
-            };
-            serve_workload(
-                AnchoredSubskySource::with_anchors(&ds, anchors),
-                &queries,
-                &serving,
-            )
-        }
-        "direct" => {
+        // "direct", the one other source the check above lets through.
+        _ => {
             let ds = load_data(opts)?;
             serve_workload(DirectSource::new(&ds), &queries, &serving)
         }
-        other => Err(format!(
-            "unknown --source {other:?} (expected stellar, stellar-scan, skyey, subsky, \
-             subsky-anchored or direct)"
-        )),
     }
 }
 

@@ -14,7 +14,6 @@
 //!   naive oracle;
 //! - [`stellar`] — the compressed-skyline-cube computation and query API;
 //! - [`skyey`] — the baseline and oracle;
-//! - [`subsky`] — on-the-fly subspace skyline retrieval (Tao et al. \[13\]);
 //! - [`datagen`] — synthetic workloads (Börzsönyi distributions, NBA-like);
 //! - [`serve`] — the serving-grade query layer: one [`serve::SkylineSource`]
 //!   trait over every engine, an LRU subspace cache, a batch executor.
@@ -46,7 +45,6 @@ pub use skycube_serve as serve;
 pub use skycube_skyey as skyey;
 pub use skycube_skyline as algorithms;
 pub use skycube_stellar as stellar;
-pub use skycube_subsky as subsky;
 pub use skycube_types as types;
 
 /// One-stop imports for applications.
@@ -54,10 +52,9 @@ pub mod prelude {
     pub use skycube_datagen::{generate, nba_table, nba_table_sized, Distribution};
     pub use skycube_parallel::Parallelism;
     pub use skycube_serve::{
-        format_answer, parse_workload, recover, run_batch, run_batch_with, AnchoredSubskySource,
-        Answer, BatchOptions, CachedSource, Daemon, DaemonConfig, DaemonMetrics, DirectSource,
-        FallbackSource, IndexedCubeSource, PoolConfig, Query, Recovery, ScanCubeSource, ServeError,
-        ShardPlan, ShardedCube, ShardedSource, SkyCubeSource, SkylineSource, SubskySource,
+        format_answer, parse_workload, recover, run_batch, run_batch_with, Answer, BatchOptions,
+        CachedSource, Daemon, DaemonConfig, DaemonMetrics, DirectSource, FallbackSource,
+        IndexedCubeSource, PoolConfig, Query, Recovery, ScanCubeSource, ServeError, SkylineSource,
         TornTail, Wal, WalOpen, WalRecord,
     };
     pub use skycube_skyey::{skyey_groups, SkyCube};
@@ -65,7 +62,6 @@ pub mod prelude {
     pub use skycube_stellar::{
         compute_cube, CompressedSkylineCube, GroupLattice, Stellar, StellarEngine,
     };
-    pub use skycube_subsky::{AnchoredSubskyIndex, SubskyIndex};
     pub use skycube_types::{
         running_example, ColumnView, Dataset, DimMask, ObjId, Order, SkylineGroup, Value,
     };

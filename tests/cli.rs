@@ -283,12 +283,20 @@ fn unknown_options_are_refused() {
                 data_s,
                 "--out",
                 cube_s,
-                "--shards",
-                "2",
                 "--partition",
                 "hash",
             ],
             "--partition",
+        ),
+        (
+            vec!["build", "--data", data_s, "--out", cube_s, "--shards", "2"],
+            "--shards",
+        ),
+        (vec!["stats", "--data", data_s, "--shards", "2"], "--shards"),
+        (vec!["query", "--data", data_s, "--shards", "2"], "--shards"),
+        (
+            vec!["query", "--data", data_s, "--anchors", "6"],
+            "--anchors",
         ),
         (
             vec![
@@ -506,14 +514,7 @@ fn query_subcommand_agrees_across_all_sources() {
     let workload_s = workload.to_str().unwrap();
 
     let mut answers: Vec<Vec<String>> = Vec::new();
-    for source in [
-        "stellar",
-        "stellar-scan",
-        "skyey",
-        "subsky",
-        "subsky-anchored",
-        "direct",
-    ] {
+    for source in ["stellar", "stellar-scan", "direct"] {
         let out = run(&[
             "query",
             "--data",
@@ -548,6 +549,73 @@ fn query_subcommand_agrees_across_all_sources() {
     ]);
     assert!(out.status.success(), "{out:?}");
     assert_eq!(answer_lines(&out), answers[0]);
+
+    // So can the fallback ladder, which answers like the plain source.
+    let out = run(&[
+        "query",
+        "--data",
+        data_s,
+        "--source",
+        "stellar",
+        "--fallback",
+        "--workload",
+        workload_s,
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(answer_lines(&out), answers[0]);
+}
+
+#[test]
+fn query_refuses_sources_and_options_it_does_not_read() {
+    // Exactly three sources answer queries, and each refuses the options
+    // it does not read: --fallback belongs to stellar alone, and direct
+    // computes from --data, so it has no use for --cube. Both are refused
+    // before any work.
+    let dir = tmpdir("query_refusals");
+    let data = dir.join("d.csv");
+    let data_s = data.to_str().unwrap();
+    let out = run(&[
+        "generate",
+        "--dist",
+        "independent",
+        "--count",
+        "50",
+        "--dims",
+        "3",
+        "--out",
+        data_s,
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    for source in ["skyey", "subsky", "subsky-anchored"] {
+        let out = run_with_stdin(
+            &["query", "--data", data_s, "--source", source],
+            "skyline AB\n",
+        );
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "--source {source}: {out:?}");
+        assert!(
+            err.contains(&format!("unknown --source {source:?}")),
+            "{source}: {err}"
+        );
+        assert!(err.contains("stellar, stellar-scan or direct"), "{err}");
+        assert!(stdout(&out).is_empty(), "{source}: {}", stdout(&out));
+    }
+    for (source, extra, option) in [
+        ("stellar-scan", vec!["--fallback"], "--fallback"),
+        ("direct", vec!["--fallback"], "--fallback"),
+        ("direct", vec!["--cube", "/nonexistent/c.txt"], "--cube"),
+    ] {
+        let mut args = vec!["query", "--data", data_s, "--source", source];
+        args.extend(extra);
+        let out = run_with_stdin(&args, "skyline AB\n");
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert!(
+            err.contains(&format!("{option} is not read by --source {source}")),
+            "{args:?}: {err}"
+        );
+        assert!(stdout(&out).is_empty(), "{args:?}: {}", stdout(&out));
+    }
 }
 
 #[test]
@@ -730,172 +798,4 @@ fn query_stats_flag_prints_route_and_memo_lines() {
         "{}",
         stdout(&out)
     );
-
-    // --anchors is honored (and validated) by the anchored SUBSKY source.
-    let out = run_with_stdin(
-        &[
-            "query",
-            "--data",
-            data_s,
-            "--source",
-            "subsky-anchored",
-            "--anchors",
-            "6",
-        ],
-        "skyline ABC\n",
-    );
-    assert!(out.status.success(), "{out:?}");
-    assert!(stdout(&out).contains("# source=subsky-anchored"), "{out:?}");
-    let out = run_with_stdin(
-        &[
-            "query",
-            "--data",
-            data_s,
-            "--source",
-            "subsky-anchored",
-            "--anchors",
-            "many",
-        ],
-        "skyline ABC\n",
-    );
-    assert!(!out.status.success(), "{out:?}");
-    assert!(stderr(&out).contains("many"), "{}", stderr(&out));
-}
-
-#[test]
-fn shards_option_is_validated_and_honored() {
-    let dir = tmpdir("shards");
-    let data = dir.join("d.csv");
-    let workload = dir.join("w.txt");
-    run(&[
-        "generate",
-        "--dist",
-        "anti-correlated",
-        "--count",
-        "400",
-        "--dims",
-        "4",
-        "--seed",
-        "11",
-        "--out",
-        data.to_str().unwrap(),
-    ]);
-    std::fs::write(
-        &workload,
-        "skyline ABCD\nskyline AC\nmember 7 ABD\ncount 7\ntop 5\n",
-    )
-    .unwrap();
-
-    // --shards 0 is rejected with a diagnostic.
-    let out = run(&[
-        "query",
-        "--data",
-        data.to_str().unwrap(),
-        "--shards",
-        "0",
-        "--workload",
-        workload.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success(), "{out:?}");
-    assert!(
-        stderr(&out).contains("--shards must be at least 1"),
-        "{}",
-        stderr(&out)
-    );
-
-    // Only the stellar-family sources can shard.
-    let out = run(&[
-        "query",
-        "--data",
-        data.to_str().unwrap(),
-        "--shards",
-        "2",
-        "--source",
-        "direct",
-        "--workload",
-        workload.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success(), "{out:?}");
-    assert!(stderr(&out).contains("--shards"), "{}", stderr(&out));
-
-    // Sharded answers are identical to the unsharded source, for both the
-    // indexed and scan serving modes and any shard count.
-    let reference = run(&[
-        "query",
-        "--data",
-        data.to_str().unwrap(),
-        "--source",
-        "stellar",
-        "--workload",
-        workload.to_str().unwrap(),
-    ]);
-    assert!(reference.status.success(), "{reference:?}");
-    for (source, shards) in [("stellar", "1"), ("stellar", "4"), ("stellar-scan", "3")] {
-        let out = run(&[
-            "query",
-            "--data",
-            data.to_str().unwrap(),
-            "--source",
-            source,
-            "--shards",
-            shards,
-            "--workload",
-            workload.to_str().unwrap(),
-        ]);
-        assert!(out.status.success(), "{out:?}");
-        assert_eq!(
-            answer_lines(&out),
-            answer_lines(&reference),
-            "{source} with {shards} shards must answer like the unsharded source"
-        );
-        let label = if source == "stellar" {
-            "sharded"
-        } else {
-            "sharded-scan"
-        };
-        assert!(
-            stdout(&out).contains(&format!("# source={label}")),
-            "{}",
-            stdout(&out)
-        );
-    }
-
-    // stats --shards prints the per-shard breakdown; --maintain routes the
-    // inserts to the last shard only (generations prove the isolation).
-    let out = run(&[
-        "stats",
-        "--data",
-        data.to_str().unwrap(),
-        "--shards",
-        "3",
-        "--maintain",
-        "2",
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let text = stdout(&out);
-    assert!(text.contains("shards:                   3"), "{text}");
-    assert!(text.contains("shard 0:"), "{text}");
-    assert!(text.contains("merged full-space skyline:"), "{text}");
-    assert!(text.contains("shard 0 generation:     0"), "{text}");
-    assert!(text.contains("shard 2 generation:     2"), "{text}");
-    assert!(text.contains("last delta shard:       Some(2)"), "{text}");
-
-    // build --shards writes one cube artifact per shard.
-    let cube = dir.join("c.txt");
-    let out = run(&[
-        "build",
-        "--data",
-        data.to_str().unwrap(),
-        "--shards",
-        "2",
-        "--out",
-        cube.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    for k in 0..2 {
-        assert!(
-            dir.join(format!("c.txt.shard{k}")).exists(),
-            "missing shard artifact {k}"
-        );
-    }
 }

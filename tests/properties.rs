@@ -301,33 +301,6 @@ proptest! {
     }
 
     #[test]
-    fn subsky_index_answers_any_subspace(ds in dataset(4, 24, 5)) {
-        let index = skycube::subsky::SubskyIndex::build(&ds);
-        for space in ds.full_space().subsets() {
-            prop_assert_eq!(
-                index.skyline(space),
-                skycube::algorithms::skyline_naive(&ds, space),
-                "subspace {}", space
-            );
-        }
-    }
-
-    #[test]
-    fn anchored_subsky_answers_any_subspace(
-        ds in dataset(4, 24, 5),
-        anchors in 1usize..6
-    ) {
-        let index = skycube::subsky::AnchoredSubskyIndex::build(&ds, anchors);
-        for space in ds.full_space().subsets() {
-            prop_assert_eq!(
-                index.skyline(space),
-                skycube::algorithms::skyline_naive(&ds, space),
-                "anchors {} subspace {}", anchors, space
-            );
-        }
-    }
-
-    #[test]
     fn parallel_stellar_cube_equals_sequential(ds in paper_dataset()) {
         // The parallel Stellar pipeline is order-preserving, so seeds,
         // groups, and decisive subspaces must be Vec-identical — not merely
@@ -377,27 +350,24 @@ proptest! {
     #[test]
     fn skyline_sources_agree_on_random_datasets(ds in paper_dataset()) {
         // The serve-layer contract: every SkylineSource implementation —
-        // indexed cube, scan-path cube, materialized SkyCube, single- and
-        // multi-anchor SUBSKY indexes, direct computation — and the legacy
-        // cube query path answer every query family identically.
-        use skycube::serve::{
-            AnchoredSubskySource, DirectSource, IndexedCubeSource, ScanCubeSource, SkyCubeSource,
-            SkylineSource, SubskySource,
-        };
+        // indexed cube, scan-path cube, direct computation — and the legacy
+        // cube query path answer every query family identically, and
+        // Skyey's materialized SkyCube holds the same skylines.
+        use skycube::serve::{DirectSource, IndexedCubeSource, ScanCubeSource, SkylineSource};
         let cube = compute_cube(&ds);
         let skycube = SkyCube::compute(&ds);
         let indexed = IndexedCubeSource::new(&cube);
         let scan = ScanCubeSource::new(&cube);
-        let skyey = SkyCubeSource::new(&skycube, ds.len());
-        let subsky = SubskySource::new(&ds);
-        let anchored = AnchoredSubskySource::new(&ds);
         let direct = DirectSource::new(&ds);
-        let sources: [&dyn SkylineSource; 6] =
-            [&indexed, &scan, &skyey, &subsky, &anchored, &direct];
+        let sources: [&dyn SkylineSource; 3] = [&indexed, &scan, &direct];
         for space in ds.full_space().subsets() {
             // Oracle: the naive skyline; legacy scan path must match too.
             let expect = skycube::algorithms::skyline_naive(&ds, space);
             prop_assert_eq!(&cube.subspace_skyline(space), &expect);
+            prop_assert_eq!(
+                skycube.skyline(space), Some(expect.as_slice()),
+                "skycube subspace {}", space
+            );
             for s in sources {
                 prop_assert_eq!(
                     &s.subspace_skyline(space).unwrap(), &expect,
@@ -405,8 +375,8 @@ proptest! {
                 );
             }
         }
-        // Membership probes on a sample of objects (subsky/direct pay
-        // a full subspace enumeration per count).
+        // Membership probes on a sample of objects (direct pays a full
+        // subspace enumeration per count).
         let probes = [0, (ds.len() as ObjId) / 2, ds.len() as ObjId - 1];
         let space = ds.full_space();
         for &o in &probes {
@@ -486,7 +456,7 @@ proptest! {
         // every source, thread count, and with or without the LRU cache.
         use skycube::serve::{
             run_batch, CachedSource, DirectSource, IndexedCubeSource, Query, ScanCubeSource,
-            SkylineSource, SubskySource,
+            SkylineSource,
         };
         let cube = compute_cube(&ds);
         let mut queries: Vec<Query> = ds.full_space().subsets().map(Query::Skyline).collect();
@@ -503,9 +473,8 @@ proptest! {
         for threads in [1usize, 2, 4] {
             let par = Parallelism::new(threads);
             let indexed = IndexedCubeSource::new(&cube);
-            let subsky = SubskySource::new(&ds);
             let direct = DirectSource::new(&ds);
-            let sources: [&dyn SkylineSource; 3] = [&indexed, &subsky, &direct];
+            let sources: [&dyn SkylineSource; 2] = [&indexed, &direct];
             for s in sources {
                 prop_assert_eq!(
                     &run_batch(s, &queries, par).answers, &baseline,
@@ -521,146 +490,6 @@ proptest! {
                 "every skyline query must hit or miss the cache"
             );
         }
-    }
-
-    #[test]
-    fn sharded_source_equals_direct(ds in paper_dataset(), shards in 1usize..6) {
-        // The sharding contract: merge-at-query over K per-shard cubes is
-        // answer-identical to direct computation for every query family,
-        // across distributions (the strategy) and worker counts — in both
-        // indexed and scan serving modes.
-        use skycube::serve::{DirectSource, SkylineSource};
-        for threads in [1usize, 4] {
-            let runner = Stellar::new().with_threads(threads);
-            let cube = ShardedCube::build_with(&ds, shards, Parallelism::new(threads), runner);
-            let direct = DirectSource::new(&ds);
-            for source in [cube.source(), cube.scan_source()] {
-                for space in ds.full_space().subsets() {
-                    prop_assert_eq!(
-                        source.subspace_skyline(space).unwrap(),
-                        direct.subspace_skyline(space).unwrap(),
-                        "{} K={} subspace {} at {} threads",
-                        source.label(), shards, space, threads
-                    );
-                }
-                let probes = [0, (ds.len() as ObjId) / 2, ds.len() as ObjId - 1];
-                for &o in &probes {
-                    prop_assert_eq!(
-                        source.is_skyline_in(o, ds.full_space()).unwrap(),
-                        direct.is_skyline_in(o, ds.full_space()).unwrap(),
-                        "{} K={} member {}", source.label(), shards, o
-                    );
-                    prop_assert_eq!(
-                        source.membership_count(o).unwrap(),
-                        direct.membership_count(o).unwrap(),
-                        "{} K={} count {}", source.label(), shards, o
-                    );
-                }
-                prop_assert_eq!(
-                    source.top_k_frequent(5), direct.top_k_frequent(5),
-                    "{} K={}", source.label(), shards
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shard_count_is_unobservable(ds in paper_dataset()) {
-        // K is a deployment knob, not a semantic one: K ∈ {1, 2, 8} yield
-        // identical answers for every query family AND identical
-        // diagnostics for invalid inputs.
-        use skycube::serve::SkylineSource;
-        let par = Parallelism::sequential();
-        let cubes: Vec<ShardedCube> =
-            [1usize, 2, 8].iter().map(|&k| ShardedCube::build(&ds, k, par)).collect();
-        let reference = cubes[0].source();
-        let bad_space = DimMask::single(ds.dims() + 3);
-        let bad_object = ds.len() as ObjId + 7;
-        for cube in &cubes[1..] {
-            let source = cube.source();
-            for space in ds.full_space().subsets() {
-                prop_assert_eq!(
-                    source.subspace_skyline(space).unwrap(),
-                    reference.subspace_skyline(space).unwrap()
-                );
-            }
-            for o in 0..ds.len() as ObjId {
-                prop_assert_eq!(
-                    source.membership_count(o).unwrap(),
-                    reference.membership_count(o).unwrap()
-                );
-            }
-            prop_assert_eq!(source.top_k_frequent(4), reference.top_k_frequent(4));
-            // Diagnostics (error variants and messages) are K-invariant too.
-            prop_assert_eq!(
-                format!("{:?}", source.subspace_skyline(bad_space)),
-                format!("{:?}", reference.subspace_skyline(bad_space))
-            );
-            prop_assert_eq!(
-                format!("{:?}", source.subspace_skyline(DimMask::EMPTY)),
-                format!("{:?}", reference.subspace_skyline(DimMask::EMPTY))
-            );
-            prop_assert_eq!(
-                format!("{:?}", source.membership_count(bad_object)),
-                format!("{:?}", reference.membership_count(bad_object))
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_maintenance_patched_equals_rebuilt(
-        ds in paper_dataset(),
-        extra in vec(vec(0..6i64, 4), 1..6),
-    ) {
-        // Shard-local maintenance: each insert routes to exactly one shard
-        // and patches it there; the other shards' engines keep their
-        // generation (their indexes, memos, and caches are untouched), and
-        // the patched sharded cube answers like a from-scratch sharded
-        // rebuild over the extended dataset.
-        use skycube::serve::SkylineSource;
-        let dims = ds.dims();
-        let shards = 3usize;
-        let par = Parallelism::sequential();
-        let mut cube = ShardedCube::build(&ds, shards, par);
-        // Warm every shard cache so untouched-shard retention is observable.
-        for space in ds.full_space().subsets() {
-            cube.source().subspace_skyline(space).unwrap();
-        }
-        let mut rows: Vec<Vec<Value>> = ds.ids().map(|o| ds.row(o).to_vec()).collect();
-        for row in &extra {
-            let row: Vec<Value> =
-                row.iter().copied().take(dims).chain(std::iter::repeat(0)).take(dims).collect();
-            let gens: Vec<u64> = (0..shards).map(|k| cube.shard_generation(k)).collect();
-            let caches: Vec<usize> =
-                (0..shards).map(|k| cube.shard_cache_stats(k).entries).collect();
-            let id = cube.insert(row.clone()).unwrap();
-            prop_assert_eq!(id as usize, rows.len(), "global ids are append-ordered");
-            rows.push(row);
-            let delta = cube.last_delta().expect("insert records a delta");
-            prop_assert_eq!(delta.shard(), Some(shards - 1), "inserts route to the last shard");
-            for k in 0..shards - 1 {
-                prop_assert_eq!(
-                    cube.shard_generation(k), gens[k],
-                    "untouched shard {} must keep its generation", k
-                );
-                prop_assert_eq!(
-                    cube.shard_cache_stats(k).entries, caches[k],
-                    "untouched shard {} must keep its cache entries", k
-                );
-            }
-            prop_assert_eq!(cube.shard_generation(shards - 1), gens[shards - 1] + 1);
-        }
-        let fresh_ds = Dataset::from_rows(dims, rows).unwrap();
-        let rebuilt = ShardedCube::build(&fresh_ds, shards, par);
-        let (patched, scratch) = (cube.source(), rebuilt.source());
-        for space in fresh_ds.full_space().subsets() {
-            prop_assert_eq!(
-                patched.subspace_skyline(space).unwrap(),
-                scratch.subspace_skyline(space).unwrap(),
-                "patched vs rebuilt on {}", space
-            );
-        }
-        prop_assert_eq!(patched.top_k_frequent(5), scratch.top_k_frequent(5));
     }
 
     #[test]
