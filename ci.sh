@@ -153,8 +153,8 @@ echo '== binary round-trip smoke: build --format binary, query --cube'
 ./target/release/skycube build --data "$SMOKE_DIR/data.csv" \
     --out "$SMOKE_DIR/cube.bin" --format binary > /dev/null
 for cube in cube.txt cube.bin; do
-    ./target/release/skycube query --data "$SMOKE_DIR/data.csv" \
-        --cube "$SMOKE_DIR/$cube" --workload "$SMOKE_DIR/workload.txt" \
+    ./target/release/skycube query --cube "$SMOKE_DIR/$cube" \
+        --workload "$SMOKE_DIR/workload.txt" \
         | grep -v '^#' > "$SMOKE_DIR/out.$cube"
 done
 if ! diff "$SMOKE_DIR/out.cube.txt" "$SMOKE_DIR/out.cube.bin" > /dev/null; then
@@ -200,6 +200,28 @@ if ! grep -Eq 'demotions=[1-9]' "$SMOKE_DIR/out.faults"; then
     echo "fault smoke: the injected panic never demoted" >&2
     exit 1
 fi
+# A fault the command would not act on is refused by name: a route fault
+# on a source that never takes it, and a daemon fault on a one-shot query.
+# refuse_fault FAULT ARGS...: the query must exit 1 and name FAULT.
+refuse_fault() {
+    fault="$1"
+    shift
+    status=0
+    ./target/release/skycube query --data "$SMOKE_DIR/data.csv" \
+        --workload "$SMOKE_DIR/workload.txt" "$@" \
+        > /dev/null 2> "$SMOKE_DIR/refused.err" || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "fault smoke: $* exited $status, expected 1" >&2
+        exit 1
+    fi
+    if ! grep -q -- "--inject-faults $fault " "$SMOKE_DIR/refused.err"; then
+        echo "fault smoke: the refusal of $* does not name $fault" >&2
+        cat "$SMOKE_DIR/refused.err" >&2
+        exit 1
+    fi
+}
+refuse_fault panic-route --source direct --inject-faults panic-route
+refuse_fault kill-mid-mutation --inject-faults kill-mid-mutation=1
 
 echo '== serve daemon smoke: socket protocol, metrics, clean shutdown'
 # Start a resident daemon on a Unix socket, drive the full verb set over

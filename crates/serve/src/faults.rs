@@ -121,13 +121,23 @@ impl FaultPlan {
 
     /// Whether any fault is planned at all.
     pub fn is_active(&self) -> bool {
-        self.panic_route.is_some()
-            || self.slow_route.is_some()
-            || self.corrupt_cube
-            || self.poison_cache
-            || self.kill_mid_mutation.is_some()
-            || self.torn_wal_tail.is_some()
-            || self.slow_client.is_some()
+        self.faults().next().is_some()
+    }
+
+    /// The spec names of the planned faults, in spec-vocabulary order
+    /// (`seed` is a setting of the faults, not one of them).
+    pub fn faults(&self) -> impl Iterator<Item = &'static str> {
+        [
+            ("panic-route", self.panic_route.is_some()),
+            ("slow-route", self.slow_route.is_some()),
+            ("corrupt-cube", self.corrupt_cube),
+            ("poison-cache", self.poison_cache),
+            ("kill-mid-mutation", self.kill_mid_mutation.is_some()),
+            ("torn-wal-tail", self.torn_wal_tail.is_some()),
+            ("slow-client", self.slow_client.is_some()),
+        ]
+        .into_iter()
+        .filter_map(|(name, planned)| planned.then_some(name))
     }
 }
 
@@ -264,9 +274,14 @@ mod tests {
         assert_eq!(plan.slow_route, Some(Duration::from_millis(50)));
         assert_eq!(plan.seed, 7);
         assert!(plan.is_active());
+        assert_eq!(
+            plan.faults().collect::<Vec<_>>(),
+            ["panic-route", "slow-route"]
+        );
         let plan = FaultPlan::parse("corrupt-cube,poison-cache").unwrap();
         assert!(plan.corrupt_cube && plan.poison_cache);
         assert!(!FaultPlan::parse("").unwrap().is_active());
+        assert_eq!(FaultPlan::parse("seed=3").unwrap().faults().count(), 0);
 
         let plan = FaultPlan::parse("kill-mid-mutation,torn-wal-tail,slow-client=25").unwrap();
         assert_eq!(plan.kill_mid_mutation, Some(1));

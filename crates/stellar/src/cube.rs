@@ -20,7 +20,11 @@ struct GroupTables {
 
 impl GroupTables {
     fn from_groups(num_objects: usize, groups: Vec<SkylineGroup>) -> Self {
-        let mut member_groups: Vec<Vec<u32>> = vec![Vec::new(); num_objects];
+        // Room for an eighth more objects: the maintenance engine builds a
+        // new cube at every seed-changing write, and without slack the
+        // first insert after it would copy the whole table to grow it.
+        let mut member_groups: Vec<Vec<u32>> = Vec::with_capacity(num_objects + num_objects / 8);
+        member_groups.resize_with(num_objects, Vec::new);
         for (gi, g) in groups.iter().enumerate() {
             for &m in &g.members {
                 member_groups[m as usize].push(gi as u32);

@@ -14,13 +14,15 @@
 //! intersecting per-dimension `value → non-seed ids` posting lists over the
 //! dimensions of each decisive subspace, instead of scanning every non-seed
 //! per group (an engineering addition). The probe values are always a
-//! seed's, so only the values some seed holds get a list.
+//! seed's, so only the values some seed holds get a list, found through a
+//! hashed map of the seed values.
 
 use crate::matrices::SeedView;
 use crate::seeds::SeedGroup;
 use crate::transversal::{minimize_antichain, ClauseSet};
 use skycube_parallel::{par_map_indexed, Parallelism};
-use skycube_types::{Dataset, DimMask, ObjId, SkylineGroup, Value};
+use skycube_types::{Dataset, DimMask, FastHash, ObjId, SkylineGroup, Value};
+use std::collections::HashMap;
 
 /// Extend the seed lattice to the skyline groups over the whole dataset.
 /// The returned groups use dataset object ids, in seed-group order.
@@ -73,44 +75,48 @@ pub(crate) fn non_seed_ids<'a>(
 /// mutations so a mutation re-extends only the touched seed groups instead
 /// of rebuilding the lists over all non-seeds.
 ///
-/// The lists are keyed by the values the seeds hold: `keys[d]` holds the
-/// distinct seed values of dimension `d`, ascending, and `lists[d][k]` the
-/// non-seed ids whose value there is `keys[d][k]`, ascending. The
-/// extension probes only a seed's values, so a value no seed holds needs no
-/// list. Ids are *bound* dataset ids, and the owner keeps the seed set fixed
-/// for the context's life: it calls [`ExtensionContext::insert_non_seed`]
-/// when a fresh bound non-seed appears and
-/// [`ExtensionContext::retire_non_seed`] when one disappears. No other id
-/// changes, so each call edits at most one list per dimension.
+/// The lists are keyed by the values the seeds hold: `slots[d]` maps each
+/// distinct seed value of dimension `d` to its list, and `lists[d][k]` holds
+/// the non-seed ids whose value there is the one mapped to `k`, ascending.
+/// The extension probes only a seed's values, so a value no seed holds
+/// needs no list. Ids are *bound* dataset ids, and the owner keeps the seed
+/// set fixed for the context's life: it calls
+/// [`ExtensionContext::insert_non_seed`] when a fresh bound non-seed
+/// appears and [`ExtensionContext::retire_non_seed`] when one disappears.
+/// No other id changes, so each call edits at most one list per dimension.
 pub struct ExtensionContext {
-    keys: Vec<Vec<Value>>,
+    slots: Vec<HashMap<Value, u32, FastHash>>,
     lists: Vec<Vec<Vec<ObjId>>>,
 }
 
 impl ExtensionContext {
     /// Build the non-seeds' posting lists from the current seed view: one
-    /// binary search per non-seed value. The ids are visited in ascending
-    /// order, so every list comes out ascending.
+    /// hashed lookup of the seed values per non-seed value. The ids are
+    /// visited in ascending order, so every list comes out ascending.
     pub fn new(view: &SeedView<'_>) -> Self {
         let ds = view.dataset();
-        let keys: Vec<Vec<Value>> = (0..ds.dims())
+        let slots: Vec<HashMap<Value, u32, FastHash>> = (0..ds.dims())
             .map(|d| {
-                let mut k: Vec<Value> = view.seeds().iter().map(|&s| ds.value(s, d)).collect();
-                k.sort_unstable();
-                k.dedup();
-                k
+                let mut slot = HashMap::with_capacity_and_hasher(view.len(), FastHash::new());
+                for &s in view.seeds() {
+                    let next = slot.len() as u32;
+                    slot.entry(ds.value(s, d)).or_insert(next);
+                }
+                slot
             })
             .collect();
-        let mut lists: Vec<Vec<Vec<ObjId>>> =
-            keys.iter().map(|k| vec![Vec::new(); k.len()]).collect();
+        let mut lists: Vec<Vec<Vec<ObjId>>> = slots
+            .iter()
+            .map(|slot| vec![Vec::new(); slot.len()])
+            .collect();
         for p in non_seed_ids(ds, view.seeds()) {
-            for (d, &v) in ds.row(p).iter().enumerate() {
-                if let Ok(k) = keys[d].binary_search(&v) {
-                    lists[d][k].push(p);
+            for (d, v) in ds.row(p).iter().enumerate() {
+                if let Some(&k) = slots[d].get(v) {
+                    lists[d][k as usize].push(p);
                 }
             }
         }
-        ExtensionContext { keys, lists }
+        ExtensionContext { slots, lists }
     }
 
     /// Register a fresh bound non-seed `p` with values `row`.
@@ -138,8 +144,8 @@ impl ExtensionContext {
 
     /// The list of dimension `d` for value `v`, if some seed holds `v`.
     fn list_mut(&mut self, d: usize, v: Value) -> Option<&mut Vec<ObjId>> {
-        let k = self.keys[d].binary_search(&v).ok()?;
-        Some(&mut self.lists[d][k])
+        let k = *self.slots[d].get(&v)?;
+        Some(&mut self.lists[d][k as usize])
     }
 
     /// Non-seeds matching `rep_row`, a seed's row, on every dimension of
@@ -149,8 +155,10 @@ impl ExtensionContext {
         out.clear();
         let mut lists: Vec<&[ObjId]> = Vec::with_capacity(dims.len());
         for d in dims.iter() {
-            match self.keys[d].binary_search(&rep_row[d]) {
-                Ok(k) if !self.lists[d][k].is_empty() => lists.push(&self.lists[d][k]),
+            match self.slots[d].get(&rep_row[d]) {
+                Some(&k) if !self.lists[d][k as usize].is_empty() => {
+                    lists.push(&self.lists[d][k as usize])
+                }
                 _ => return, // no non-seed matches this dimension
             }
         }

@@ -39,7 +39,6 @@ mod lattice;
 mod maintenance;
 mod matrices;
 mod persist;
-mod row_table;
 mod seeds;
 mod transversal;
 
@@ -66,7 +65,7 @@ pub use skycube_parallel::Parallelism;
 pub use transversal::{minimize_antichain, ClauseSet};
 
 use skycube_skyline::skyline;
-use skycube_types::{Dataset, ObjId, SkylineGroup};
+use skycube_types::{Dataset, SkylineGroup};
 
 /// Stellar runner; its one setting is the worker-thread count.
 ///
@@ -118,26 +117,18 @@ impl Stellar {
         }
         // The paper's preamble: objects identical on every dimension are
         // bound together and always appear together in groups.
-        let (bound, reps) = ds.bind_duplicates();
+        let (bound, binding) = ds.bind_duplicates();
         let par = self.parallelism;
         let view = SeedView::new(&bound, skyline(&bound, bound.full_space()));
         let seed_groups = seed_skyline_groups_par(&view, par);
         let groups_bound = extend_to_full_par(&view, &seed_groups, par);
 
         // Re-expand bound duplicates into the original id space.
-        let expand = |ids: &[ObjId]| -> Vec<ObjId> {
-            let mut v: Vec<ObjId> = ids
-                .iter()
-                .flat_map(|&b| reps[b as usize].iter().copied())
-                .collect();
-            v.sort_unstable();
-            v
-        };
         let groups: Vec<SkylineGroup> = groups_bound
             .into_iter()
-            .map(|g| SkylineGroup::new(expand(&g.members), g.subspace, g.decisive))
+            .map(|g| SkylineGroup::new(binding.expand(&g.members), g.subspace, g.decisive))
             .collect();
-        let seeds = expand(view.seeds());
+        let seeds = binding.expand(view.seeds());
         CompressedSkylineCube::new(ds.dims(), ds.len(), seeds, groups)
     }
 }

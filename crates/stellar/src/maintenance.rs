@@ -9,6 +9,31 @@
 //! therefore the entire seed lattice of steps 1–4 — is unchanged, and only
 //! the accommodation of the touched seed groups (step 5) needs to be redone.
 //!
+//! # Seed-changing writes
+//!
+//! The seed lattice is built from the seeds alone, so a write that changes
+//! the seed set only needs to know which seeds entered or left. The engine
+//! re-derives the new seed set from the old one, in the manner of DRed
+//! (Gupta, Mumick & Subrahmanian, SIGMOD'93: delete what the removed fact
+//! supported, then re-derive what still holds), and runs no full-space
+//! skyline after its first build:
+//! - an insert that no seed strictly dominates keeps the old seeds it does
+//!   not dominate and adds itself. Every non-seed stays dominated: its
+//!   dominating seed either survives or is dominated by the new row, which
+//!   then dominates the non-seed too;
+//! - deleting a seed whose row another object also holds changes nothing:
+//!   that object dominates all the deleted one did;
+//! - any other seed delete adds the skyline of the *candidates*, the rows
+//!   the deleted seed dominated that no remaining seed dominates. Every
+//!   other non-seed keeps a dominating seed, and every remaining dominator
+//!   of a candidate is itself a candidate, so the candidates' own skyline
+//!   is exactly the promoted set.
+//!
+//! Such a write still rebinds the rows and rebuilds the seed lattice and
+//! the extension over the new seeds, and drops the serving index. An
+//! adopted cube ([`StellarEngine::with_cube`]) supplies its stored seeds,
+//! so a recovered engine runs no full-space skyline either.
+//!
 //! # Delta maintenance
 //!
 //! The fast path treats a mutation as a signed delta over the group lattice
@@ -28,14 +53,13 @@
 //! classifies it as removed+added — a *touched* group covering `A`. A
 //! surviving cache entry therefore needs only [`MaintenanceDelta::remap_ids`].
 
-use crate::extend::{non_seed_ids, ExtensionContext};
+use crate::extend::ExtensionContext;
 use crate::lattice::diff_groups;
 use crate::matrices::SeedView;
-use crate::row_table::RowTable;
 use crate::seeds::{seed_skyline_groups, SeedGroup};
 use crate::{CompressedSkylineCube, Stellar};
-use skycube_skyline::skyline;
-use skycube_types::{Dataset, DimMask, ObjId, Result, SkylineGroup, Value};
+use skycube_skyline::{filter_presorted, skyline};
+use skycube_types::{Binding, Dataset, DimMask, ObjId, Result, SkylineGroup, Value};
 
 /// Mutation counters, split by path × operation. `spliced` counts the
 /// mutations that patched a *built* serving index in place (a fast-path
@@ -44,11 +68,11 @@ use skycube_types::{Dataset, DimMask, ObjId, Result, SkylineGroup, Value};
 pub struct MaintenanceStats {
     /// Inserts that took the incremental (delta) path.
     pub fast_inserts: usize,
-    /// Inserts that forced a full recomputation.
+    /// Seed-changing inserts: the seed lattice was rebuilt.
     pub full_inserts: usize,
     /// Deletes that took the incremental (delta) path.
     pub fast_deletes: usize,
-    /// Deletes that forced a full recomputation.
+    /// Seed deletes: the seed lattice was rebuilt.
     pub full_deletes: usize,
     /// Mutations that spliced a built serving index in place.
     pub spliced: usize,
@@ -60,7 +84,7 @@ impl MaintenanceStats {
         self.fast_inserts + self.fast_deletes
     }
 
-    /// Total full recomputations.
+    /// Total seed-lattice rebuilds.
     pub fn full(&self) -> usize {
         self.full_inserts + self.full_deletes
     }
@@ -105,7 +129,7 @@ pub struct MaintenanceDelta {
 }
 
 impl MaintenanceDelta {
-    /// The delta of a full recomputation: every derived answer is stale.
+    /// The delta of a seed-lattice rebuild: every derived answer is stale.
     pub fn full_rebuild(generation: u64) -> Self {
         MaintenanceDelta {
             generation,
@@ -122,7 +146,7 @@ impl MaintenanceDelta {
         self.generation
     }
 
-    /// Whether this was a full recomputation (no selective information).
+    /// Whether this was a seed-lattice rebuild (no selective information).
     pub fn is_full(&self) -> bool {
         self.full
     }
@@ -175,7 +199,7 @@ pub struct StellarEngine {
     rows: Dataset,
     cube: CompressedSkylineCube,
     /// Cached seed lattice over the *bound* dataset, reused by the fast
-    /// path. Invalidated (recomputed) when the seed set changes.
+    /// path. Rebuilt when the seed set changes.
     cached: Option<CachedSeedLattice>,
     /// Mutation counters, split by path × operation.
     stats: MaintenanceStats,
@@ -187,13 +211,17 @@ pub struct StellarEngine {
 }
 
 /// The seed lattice over the bound dataset. The fast paths keep the seed
-/// set fixed, and a bound id keeps its value until the next recompute: a
+/// set fixed, and a bound id keeps its value until the next rebuild: a
 /// fast insert appends a bound row, and a fast delete that empties one
-/// *retires* it. A retired row leaves the posting lists and the row table
-/// but stays in `bound`, with an empty `reps` entry, as dead storage.
+/// *retires* it. A retired row leaves the posting lists and the binding's
+/// row table but stays in `bound`, with an empty object list, as dead
+/// storage.
 struct CachedSeedLattice {
     bound: Dataset,
-    reps: Vec<Vec<ObjId>>,
+    /// Which objects each bound row holds, and the live bound rows by
+    /// value: the duplicate check of a fast insert and the bound-row
+    /// lookup of a fast delete.
+    binding: Binding,
     seeds_bound: Vec<ObjId>,
     seed_groups: Vec<SeedGroup>,
     /// Per-seed-group extension outputs (bound-space ids), in seed-group
@@ -201,9 +229,23 @@ struct CachedSeedLattice {
     ext: Vec<Vec<SkylineGroup>>,
     /// Incrementally maintained non-seed posting lists.
     ctx: ExtensionContext,
-    /// The live bound non-seeds by row: the duplicate check of a fast
-    /// insert and the bound-row lookup of a fast delete.
-    non_seed_rows: RowTable,
+}
+
+impl CachedSeedLattice {
+    /// The extension chunks in original ids: the cube's group list.
+    fn groups(&self) -> Vec<SkylineGroup> {
+        self.ext
+            .iter()
+            .flatten()
+            .map(|g| {
+                SkylineGroup::new(
+                    self.binding.expand(&g.members),
+                    g.subspace,
+                    g.decisive.clone(),
+                )
+            })
+            .collect()
+    }
 }
 
 impl StellarEngine {
@@ -212,9 +254,10 @@ impl StellarEngine {
         Self::with_runner(ds, Stellar::new())
     }
 
-    /// Build with a configured runner. The engine's builds run LESS and the
-    /// rest of the pipeline on one thread, so the runner's thread count
-    /// does not reach them yet.
+    /// Build with a configured runner. This is the one place the engine
+    /// computes a full-space skyline (LESS); every later seed set is
+    /// re-derived from the one before. The engine's builds run on one
+    /// thread, so the runner's thread count does not reach them yet.
     pub fn with_runner(ds: &Dataset, _runner: Stellar) -> Self {
         let mut engine = StellarEngine {
             rows: ds.clone(),
@@ -224,7 +267,7 @@ impl StellarEngine {
             generation: 0,
             last_delta: None,
         };
-        engine.recompute();
+        engine.rebuild(skyline(ds, ds.full_space()));
         engine
     }
 
@@ -232,9 +275,9 @@ impl StellarEngine {
     /// one — the reopen path for cubes loaded from disk. The cube keeps
     /// whatever it has (for a binary-loaded cube, its zero-copy serving
     /// index), so no pipeline runs here; the seed-lattice cache needed by
-    /// the fast maintenance paths is built lazily on the first mutation
-    /// that can use it, and splices the loaded index in place rather than
-    /// dropping it.
+    /// the fast maintenance paths is built lazily, from the cube's stored
+    /// seeds, on the first mutation that can use it, and splices the
+    /// loaded index in place rather than dropping it.
     ///
     /// Fails with a structured error when the cube does not describe `ds`
     /// (dimensionality or object-count mismatch). As in
@@ -325,8 +368,10 @@ impl StellarEngine {
     /// Insert one object and refresh the cube. Returns the new object's id.
     ///
     /// A strictly dominated insert patches the cube and splices any built
-    /// [`crate::CubeIndex`] in place; only a seed-changing insert recomputes
-    /// (and drops the index). Callers holding answer caches should consume
+    /// [`crate::CubeIndex`] in place. Any other insert changes the seed
+    /// set: the new seeds are the old seeds the row does not dominate plus
+    /// the row itself, and the seed lattice is rebuilt over them (dropping
+    /// the index). Callers holding answer caches should consume
     /// [`Self::last_delta`].
     pub fn insert(&mut self, row: Vec<Value>) -> Result<ObjId> {
         if row.len() != self.dims() {
@@ -336,24 +381,30 @@ impl StellarEngine {
                 actual: row.len(),
             });
         }
-        let dominated = self.strictly_dominated(&row);
-        if dominated {
+        if self.strictly_dominated(&row) {
             // An adopted (loaded) cube starts without the seed-lattice
             // cache; build it from the pre-insert rows so the fast path —
             // and the in-place splice of the loaded index — applies.
             self.ensure_cache();
-        }
-        let id = self.rows.push_row(&row)?;
-        self.generation += 1;
-        if dominated && self.cached.is_some() {
+            let id = self.rows.push_row(&row)?;
+            self.generation += 1;
             self.patch_insert(id);
             self.stats.fast_inserts += 1;
-        } else {
-            self.cube.invalidate_index();
-            self.recompute();
-            self.stats.full_inserts += 1;
-            self.last_delta = Some(MaintenanceDelta::full_rebuild(self.generation));
+            return Ok(id);
         }
+        let mut seeds: Vec<ObjId> = self
+            .cube
+            .seeds()
+            .iter()
+            .copied()
+            .filter(|&s| !strictly_dominates(&row, self.rows.row(s)))
+            .collect();
+        let id = self.rows.push_row(&row)?;
+        seeds.push(id);
+        self.generation += 1;
+        self.rebuild(seeds);
+        self.stats.full_inserts += 1;
+        self.last_delta = Some(MaintenanceDelta::full_rebuild(self.generation));
         Ok(id)
     }
 
@@ -362,11 +413,12 @@ impl StellarEngine {
     ///
     /// Removing a *non-seed* cannot change any dominance relation among the
     /// remaining objects, so the seed lattice of steps 1–4 survives: the
-    /// object leaves its bound row's duplicate list, a bound row left empty
+    /// object leaves its bound row's object list, a bound row left empty
     /// is retired (every other bound id keeps its value), and only the seed
     /// groups that contained that row are re-extended. Removing a seed may
-    /// promote previously dominated objects and forces a full
-    /// recomputation.
+    /// promote objects it dominated: the new seeds are the remaining seeds
+    /// plus the skyline of the objects it dominated that no remaining seed
+    /// dominates, and the seed lattice is rebuilt over them.
     pub fn delete(&mut self, id: ObjId) -> Result<Vec<Value>> {
         if id as usize >= self.rows.len() {
             return Err(skycube_types::Error::NoSuchObject {
@@ -374,24 +426,23 @@ impl StellarEngine {
                 len: self.rows.len(),
             });
         }
-        let was_seed = self.cube.seeds().binary_search(&id).is_ok();
-        if !was_seed {
+        if self.cube.seeds().binary_search(&id).is_err() {
             // Warm the seed-lattice cache BEFORE removing the row: the
             // cache describes the pre-delete dataset (the fast path itself
             // unbinds the removed row from it).
             self.ensure_cache();
+            let row = self.rows.remove_row(id)?;
+            self.generation += 1;
+            self.patch_delete(id, &row);
+            self.stats.fast_deletes += 1;
+            return Ok(row);
         }
         let row = self.rows.remove_row(id)?;
         self.generation += 1;
-        if self.rows.is_empty() || was_seed || self.cached.is_none() {
-            self.cube.invalidate_index();
-            self.recompute();
-            self.stats.full_deletes += 1;
-            self.last_delta = Some(MaintenanceDelta::full_rebuild(self.generation));
-        } else {
-            self.patch_delete(id, &row);
-            self.stats.fast_deletes += 1;
-        }
+        let seeds = self.seeds_after_delete(id, &row);
+        self.rebuild(seeds);
+        self.stats.full_deletes += 1;
+        self.last_delta = Some(MaintenanceDelta::full_rebuild(self.generation));
         Ok(row)
     }
 
@@ -402,80 +453,112 @@ impl StellarEngine {
     /// dominated-or-tied by one) also strictly dominates `row` — so this is
     /// O(|seeds|·d), not O(n·d).
     fn strictly_dominated(&self, row: &[Value]) -> bool {
-        self.cube.seeds().iter().any(|&s| {
-            let existing = self.rows.row(s);
-            let mut strict = false;
-            for (a, b) in existing.iter().zip(row) {
-                if a > b {
-                    return false;
-                }
-                if a < b {
-                    strict = true;
-                }
-            }
-            strict
-        })
+        self.cube
+            .seeds()
+            .iter()
+            .any(|&s| strictly_dominates(self.rows.row(s), row))
     }
 
-    /// Fast path for a dominated insert: maintain the binding, register the
-    /// (possibly new) bound non-seed, re-extend only the seed groups it is
-    /// relevant to, then diff-and-splice.
+    /// The seed set after deleting seed `deleted`, whose values were
+    /// `removed`, in post-delete ids (see the module docs): the remaining
+    /// seeds, plus — unless another object holds the same row — the
+    /// skyline of the candidates, found with the final pass of LESS over a
+    /// sum-sorted order.
+    fn seeds_after_delete(&self, deleted: ObjId, removed: &[Value]) -> Vec<ObjId> {
+        let ds = &self.rows;
+        let mut seeds: Vec<ObjId> = self
+            .cube
+            .seeds()
+            .iter()
+            .filter(|&&s| s != deleted)
+            .map(|&s| if s > deleted { s - 1 } else { s })
+            .collect();
+        if seeds.iter().any(|&s| ds.row(s) == removed) {
+            return seeds;
+        }
+        let full = ds.full_space();
+        // The remaining seeds, smallest sums first: they dominate the most
+        // rows. The seed that dominated the last rejected row is tried
+        // first, since one seed near the deleted one often dominates most
+        // of what it did. A remaining seed is never dominated by the
+        // deleted one, so the scan needs no seed test of its own.
+        let mut by_sum: Vec<(i128, ObjId)> =
+            seeds.iter().map(|&s| (ds.sum_over(s, full), s)).collect();
+        by_sum.sort_unstable();
+        let mut last: Option<ObjId> = None;
+        let mut candidates: Vec<(i128, ObjId)> = Vec::new();
+        for p in ds.ids() {
+            let row = ds.row(p);
+            if !strictly_dominates(removed, row)
+                || last.is_some_and(|l| strictly_dominates(ds.row(l), row))
+            {
+                continue;
+            }
+            match by_sum
+                .iter()
+                .find(|&&(_, s)| strictly_dominates(ds.row(s), row))
+            {
+                Some(&(_, s)) => last = Some(s),
+                None => candidates.push((ds.sum_over(p, full), p)),
+            }
+        }
+        candidates.sort_unstable();
+        let order: Vec<ObjId> = candidates.into_iter().map(|(_, p)| p).collect();
+        seeds.extend(filter_presorted(ds, full, &order));
+        seeds.sort_unstable();
+        seeds
+    }
+
+    /// Fast path for a dominated insert: bind the row (a duplicate of a
+    /// bound non-seed, or a fresh bound non-seed), re-extend only the seed
+    /// groups it is relevant to, then diff-and-splice.
     fn patch_insert(&mut self, id: ObjId) {
         let CachedSeedLattice {
             bound,
-            reps,
+            binding,
             seeds_bound,
             seed_groups,
             ext,
             ctx,
-            non_seed_rows,
         } = self.cached.as_mut().expect("fast path requires cache");
         let new_row = self.rows.row(id);
+        // A strictly dominated row ties no seed row, so a duplicate can
+        // only be a bound non-seed.
+        let (b, fresh) = binding.bind_object(bound, new_row, id);
         // `true` once some group's expansion actually changes; a dominated
         // insert that ties no skyline projection changes nothing and takes
         // the O(1)-ish append tail instead of the diff-and-splice tail.
-        let mut changed = false;
-        // A strictly dominated row ties no seed row, so a duplicate can
-        // only be a bound non-seed.
-        match non_seed_rows.get(bound, new_row) {
+        let changed = if fresh {
+            ctx.insert_non_seed(new_row, b);
+            // Relevance probe straight on the bound dataset (same test as
+            // [`non_seed_relevant`]); the columnar seed view is only built
+            // when some chunk genuinely needs re-extension.
+            let relevant: Vec<usize> = seed_groups
+                .iter()
+                .enumerate()
+                .filter(|(_, sg)| {
+                    let rep = seeds_bound[sg.members[0]];
+                    let m = bound.co_mask(rep, b) & sg.subspace;
+                    sg.decisive.iter().any(|&c| c.is_subset_of(m))
+                })
+                .map(|(si, _)| si)
+                .collect();
+            if !relevant.is_empty() {
+                let view = SeedView::new(bound, seeds_bound.clone());
+                for &si in &relevant {
+                    ext[si].clear();
+                    ctx.extend_group(&view, &seed_groups[si], &mut ext[si]);
+                }
+            }
+            !relevant.is_empty()
+        } else {
             // Duplicate of an existing bound non-seed: the bound lattice is
             // untouched, only the expansion of the groups holding it grows
             // (if no group holds it, nothing changes).
-            Some(b) => {
-                reps[b as usize].push(id);
-                changed = ext
-                    .iter()
-                    .flatten()
-                    .any(|g| g.members.binary_search(&b).is_ok());
-            }
-            None => {
-                let nb = bound.push_row(new_row).expect("row length validated");
-                reps.push(vec![id]);
-                non_seed_rows.insert(bound, nb);
-                ctx.insert_non_seed(new_row, nb);
-                // Relevance probe straight on the bound dataset (same test
-                // as [`non_seed_relevant`]); the columnar seed view is only
-                // built when some chunk genuinely needs re-extension.
-                let relevant: Vec<usize> = seed_groups
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, sg)| {
-                        let rep = seeds_bound[sg.members[0]];
-                        let m = bound.co_mask(rep, nb) & sg.subspace;
-                        sg.decisive.iter().any(|&c| c.is_subset_of(m))
-                    })
-                    .map(|(si, _)| si)
-                    .collect();
-                if !relevant.is_empty() {
-                    let view = SeedView::new(bound, seeds_bound.clone());
-                    for si in relevant {
-                        ext[si].clear();
-                        ctx.extend_group(&view, &seed_groups[si], &mut ext[si]);
-                    }
-                    changed = true;
-                }
-            }
-        }
+            ext.iter()
+                .flatten()
+                .any(|g| g.members.binary_search(&b).is_ok())
+        };
         if changed {
             self.finish_patch(Some(id), None);
         } else {
@@ -502,44 +585,26 @@ impl StellarEngine {
         });
     }
 
-    /// Fast path for a non-seed delete: one row-table lookup finds the
-    /// object's bound row, original ids above it shift down, and a bound
-    /// row left without objects is retired. Only the seed groups whose
-    /// derived groups contained that row are re-extended.
+    /// Fast path for a non-seed delete: the binding unbinds the object
+    /// from its bound row (found by value) and shifts the original ids
+    /// above it down in one pass, and a bound row left without objects is
+    /// retired. Only the seed groups whose derived groups contained that
+    /// row are re-extended.
     fn patch_delete(&mut self, id: ObjId, removed_row: &[Value]) {
         let CachedSeedLattice {
             bound,
-            reps,
+            binding,
             seeds_bound,
             seed_groups,
             ext,
             ctx,
-            non_seed_rows,
         } = self.cached.as_mut().expect("fast path requires cache");
-        let b = non_seed_rows
-            .get(bound, removed_row)
-            .expect("a non-seed's row is a live bound non-seed");
-        let objects = &mut reps[b as usize];
-        let at = objects
-            .binary_search(&id)
-            .expect("the bound row lists its objects");
-        objects.remove(at);
-        let emptied = objects.is_empty();
-        // Original ids above the deleted one shift down by one.
-        for list in reps.iter_mut() {
-            for o in list.iter_mut() {
-                if *o > id {
-                    *o -= 1;
-                }
-            }
-        }
-        if emptied {
-            // Retire the bound row and re-extend the chunks that contained
-            // it. Relevance ⟺ derived-group membership, so "some group of
-            // the chunk contains `b`" is exactly the touched-chunk
-            // condition.
+        let (b, retired) = binding.unbind_object(bound, removed_row, id);
+        if retired {
+            // Re-extend the chunks that contained the retired row.
+            // Relevance ⟺ derived-group membership, so "some group of the
+            // chunk contains `b`" is exactly the touched-chunk condition.
             ctx.retire_non_seed(removed_row, b);
-            non_seed_rows.remove(bound, b);
             let touched: Vec<usize> = (0..ext.len())
                 .filter(|&si| ext[si].iter().any(|g| g.members.binary_search(&b).is_ok()))
                 .collect();
@@ -560,21 +625,8 @@ impl StellarEngine {
     /// and splice the index if one is built.
     fn finish_patch(&mut self, inserted: Option<ObjId>, deleted: Option<ObjId>) {
         let cached = self.cached.as_ref().expect("fast path requires cache");
-        let expand = |ids: &[ObjId]| -> Vec<ObjId> {
-            let mut v: Vec<ObjId> = ids
-                .iter()
-                .flat_map(|&b| cached.reps[b as usize].iter().copied())
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        let new_groups: Vec<SkylineGroup> = cached
-            .ext
-            .iter()
-            .flatten()
-            .map(|g| SkylineGroup::new(expand(&g.members), g.subspace, g.decisive.clone()))
-            .collect();
-        let new_seeds = expand(&cached.seeds_bound);
+        let new_groups = cached.groups();
+        let new_seeds = cached.binding.expand(&cached.seeds_bound);
         // Previous generation, remapped into the post-mutation id space so
         // the diff compares like with like (sorted member lists stay sorted
         // under the uniform shift). Inserts leave every old id in place, so
@@ -638,9 +690,10 @@ impl StellarEngine {
         });
     }
 
-    /// Full pipeline, refreshing the cached seed lattice and the per-chunk
-    /// extension cache.
-    fn recompute(&mut self) {
+    /// Rebuild the seed lattice, the per-chunk extension cache and the cube
+    /// over the current rows, whose full-space skyline is `seeds`
+    /// (ascending). The new cube has no index yet.
+    fn rebuild(&mut self, seeds: Vec<ObjId>) {
         // The old lattice describes other rows: drop it first, so that it
         // and the new one are never resident together.
         self.cached = None;
@@ -648,35 +701,42 @@ impl StellarEngine {
             self.cube = CompressedSkylineCube::new(self.dims(), 0, Vec::new(), Vec::new());
             return;
         }
-        let cached = self.build_cache();
-        let groups_bound: Vec<SkylineGroup> = cached.ext.iter().flatten().cloned().collect();
-        self.cube = assemble(
-            self.dims(),
-            self.rows.len(),
-            &cached.seeds_bound,
-            groups_bound,
-            &cached.reps,
-        );
+        let cached = self.build_cache(&seeds);
+        debug_assert_eq!(cached.binding.expand(&cached.seeds_bound), seeds);
+        self.cube =
+            CompressedSkylineCube::new(self.dims(), self.rows.len(), seeds, cached.groups());
         self.cached = Some(cached);
     }
 
-    /// Build the seed-lattice cache from the current rows if it is absent —
-    /// the lazy half of adopting a loaded cube ([`Self::with_cube`]): the
-    /// cube itself (and its index) is taken on trust from the load-time
-    /// validation, only the fast-path working state is recomputed, and only
-    /// when a mutation first needs it.
+    /// Build the seed-lattice cache from the current rows and the cube's
+    /// seeds if it is absent — the lazy half of adopting a loaded cube
+    /// ([`Self::with_cube`]): the cube itself (and its index) is taken on
+    /// trust from the load-time validation, only the fast-path working
+    /// state is rebuilt, and only when a mutation first needs it.
     fn ensure_cache(&mut self) {
         if self.cached.is_none() && !self.rows.is_empty() {
-            self.cached = Some(self.build_cache());
+            self.cached = Some(self.build_cache(self.cube.seeds()));
         }
     }
 
-    /// Run pipeline steps 1–5 over the current rows, producing the cached
-    /// seed lattice (with per-chunk extension outputs) and touching neither
-    /// the cube nor the counters.
-    fn build_cache(&self) -> CachedSeedLattice {
-        let (bound, reps) = self.rows.bind_duplicates();
-        let seeds_bound = skyline(&bound, bound.full_space());
+    /// Bind the current rows and run pipeline steps 2–5 over them, whose
+    /// full-space skyline is `seeds` (ascending original ids), producing
+    /// the cached seed lattice with per-chunk extension outputs. Touches
+    /// neither the cube nor the counters.
+    fn build_cache(&self, seeds: &[ObjId]) -> CachedSeedLattice {
+        let (bound, binding) = self.rows.bind_duplicates();
+        // Every copy of a seed's row is a seed, so the seeds' bound rows
+        // hold exactly the seeds.
+        let mut seeds_bound: Vec<ObjId> = seeds
+            .iter()
+            .map(|&s| {
+                binding
+                    .find(&bound, self.rows.row(s))
+                    .expect("every row is bound")
+            })
+            .collect();
+        seeds_bound.sort_unstable();
+        seeds_bound.dedup();
         let view = SeedView::new(&bound, seeds_bound.clone());
         let seed_groups = seed_skyline_groups(&view);
         let ctx = ExtensionContext::new(&view);
@@ -687,42 +747,28 @@ impl StellarEngine {
             ext.push(chunk);
         }
         drop(view);
-        let mut non_seed_rows = RowTable::with_capacity(bound.len() - seeds_bound.len());
-        for b in non_seed_ids(&bound, &seeds_bound) {
-            non_seed_rows.insert(&bound, b);
-        }
         CachedSeedLattice {
             bound,
-            reps,
+            binding,
             seeds_bound,
             seed_groups,
             ext,
             ctx,
-            non_seed_rows,
         }
     }
 }
 
-fn assemble(
-    dims: usize,
-    num_objects: usize,
-    seeds_bound: &[ObjId],
-    groups_bound: Vec<SkylineGroup>,
-    reps: &[Vec<ObjId>],
-) -> CompressedSkylineCube {
-    let expand = |ids: &[ObjId]| -> Vec<ObjId> {
-        let mut v: Vec<ObjId> = ids
-            .iter()
-            .flat_map(|&b| reps[b as usize].iter().copied())
-            .collect();
-        v.sort_unstable();
-        v
-    };
-    let groups: Vec<SkylineGroup> = groups_bound
-        .into_iter()
-        .map(|g| SkylineGroup::new(expand(&g.members), g.subspace, g.decisive))
-        .collect();
-    CompressedSkylineCube::new(dims, num_objects, expand(seeds_bound), groups)
+/// Whether row `a` strictly dominates row `b` in full space: no larger
+/// anywhere, smaller somewhere.
+fn strictly_dominates(a: &[Value], b: &[Value]) -> bool {
+    let mut strict = false;
+    for (x, y) in a.iter().zip(b) {
+        if x > y {
+            return false;
+        }
+        strict |= x < y;
+    }
+    strict
 }
 
 #[cfg(test)]
@@ -948,7 +994,7 @@ mod tests {
     fn retired_rows(engine: &StellarEngine) -> usize {
         let cached = engine.cached.as_ref().expect("cache built");
         cached
-            .reps
+            .binding
             .iter()
             .filter(|objects| objects.is_empty())
             .count()
@@ -978,12 +1024,12 @@ mod tests {
         }
         assert!(retired_rows(&engine) > 0, "no bound row was retired");
         assert!(engine.cube().has_index(), "a fast delete dropped the index");
-        // A row below every seed in A is a new seed: the recompute rebuilds
-        // the lattice over the live rows only.
+        // A row below every seed in A is a new seed: the rebuild binds the
+        // live rows only.
         engine.insert(vec![-1, 3, 3, 3]).unwrap();
         assert_eq!(engine.maintenance_stats().full_inserts, 1);
         assert_cubes_equal(&engine);
-        assert_eq!(retired_rows(&engine), 0, "the recompute kept dead rows");
+        assert_eq!(retired_rows(&engine), 0, "the rebuild kept dead rows");
     }
 
     #[test]
@@ -1004,7 +1050,7 @@ mod tests {
             .expect("the tied data holds such a non-seed");
         let row = engine.delete(id).unwrap();
         let cached = engine.cached.as_ref().unwrap();
-        assert_eq!(cached.non_seed_rows.get(&cached.bound, &row), None);
+        assert_eq!(cached.binding.find(&cached.bound, &row), None);
         assert_eq!(retired_rows(&engine), 1);
         let next_bound = cached.bound.len() as ObjId;
         let copy = engine.insert(row.clone()).unwrap();
@@ -1014,11 +1060,11 @@ mod tests {
         assert!(engine.cube().groups_of(copy).next().is_some());
         let cached = engine.cached.as_ref().unwrap();
         let fresh = cached
-            .non_seed_rows
-            .get(&cached.bound, &row)
+            .binding
+            .find(&cached.bound, &row)
             .expect("the copy is a live bound row");
         assert_eq!(fresh, next_bound, "the copy bound to an existing row");
-        assert_eq!(cached.reps[fresh as usize], vec![copy]);
+        assert_eq!(&cached.binding[fresh as usize], &[copy]);
         assert_eq!(retired_rows(&engine), 1);
     }
 
@@ -1066,9 +1112,10 @@ mod tests {
         engine.delete(5).unwrap();
         assert!(engine.cube().has_index(), "fast delete dropped the index");
         assert_eq!(engine.cube().index().subspace_skyline(space), vec![2, 3, 4]);
-        // (0,0,0,0) dominates everything: full recompute drops the index.
+        // (0,0,0,0) dominates everything: the seed-changing rebuild drops
+        // the index.
         engine.insert(vec![0, 0, 0, 0]).unwrap();
-        assert!(!engine.cube().has_index(), "stale index survived recompute");
+        assert!(!engine.cube().has_index(), "stale index survived a rebuild");
         assert_eq!(engine.cube().index().subspace_skyline(space), vec![5]);
         assert_eq!(engine.maintenance_stats().spliced, 2);
         // Failed mutations bump nothing.

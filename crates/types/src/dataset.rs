@@ -2,8 +2,10 @@
 //! per-pair dominance/coincidence primitives every algorithm in the
 //! workspace is built on.
 
+use crate::binding::{with_room, Binding};
 use crate::dims::{DimMask, MAX_DIMS};
 use crate::error::{Error, Result};
+use crate::row_table::RowTable;
 use crate::value::{Order, Value};
 use std::cmp::Ordering;
 use std::fmt;
@@ -351,34 +353,30 @@ impl Dataset {
     // ------------------------------------------------------------------
 
     /// Bind objects with identical full tuples together: returns a dataset of
-    /// distinct tuples plus, for each distinct tuple, the original ids it
-    /// represents (ascending). The paper assumes no two objects agree on
-    /// every dimension; callers establish that assumption with this function
-    /// and re-expand groups afterwards.
-    pub fn bind_duplicates(&self) -> (Dataset, Vec<Vec<ObjId>>) {
-        use std::collections::HashMap;
-        let mut index: HashMap<&[Value], usize> = HashMap::with_capacity(self.len());
-        let mut reps: Vec<Vec<ObjId>> = Vec::new();
-        let mut rows: Vec<Value> = Vec::new();
-        for o in 0..self.len() as ObjId {
-            let row = self.row(o);
-            match index.entry(row) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    reps[*e.get()].push(o);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(reps.len());
-                    reps.push(vec![o]);
-                    rows.extend_from_slice(row);
-                }
-            }
-        }
-        let ds = Dataset {
+    /// distinct tuples, in order of first occurrence, plus the [`Binding`]
+    /// that lists, for each distinct tuple, the original ids it represents
+    /// (ascending). The paper assumes no two objects agree on every
+    /// dimension; callers establish that assumption with this function and
+    /// re-expand groups afterwards ([`Binding::expand`]).
+    ///
+    /// One probe of a keyed row table per row finds its first occurrence; the
+    /// outputs are reserved up front and the id lists share one buffer, so
+    /// nothing is allocated per row. The reservations leave room for an
+    /// eighth more rows, which the maintenance engine's inserts bind into.
+    pub fn bind_duplicates(&self) -> (Dataset, Binding) {
+        let n = self.len();
+        let mut bound = Dataset {
             dims: self.dims,
-            values: rows,
+            values: Vec::with_capacity(with_room(n) * self.dims),
             names: self.names.clone(),
         };
-        (ds, reps)
+        let mut table = RowTable::with_capacity(n);
+        let mut row_of: Vec<ObjId> = Vec::with_capacity(with_room(n));
+        for o in 0..n as ObjId {
+            row_of.push(table.get_or_push(&mut bound, self.row(o)).0);
+        }
+        let rows = bound.len();
+        (bound, Binding::from_assignment(row_of, rows, table))
     }
 }
 
@@ -588,7 +586,9 @@ mod tests {
         let (bound, reps) = ds.bind_duplicates();
         assert_eq!(bound.len(), 2);
         assert_eq!(bound.row(0), &[1, 2]);
-        assert_eq!(reps, vec![vec![0, 2, 3], vec![1]]);
+        assert_eq!(reps.iter().collect::<Vec<_>>(), [&[0, 2, 3][..], &[1]]);
+        assert_eq!(reps.find(&bound, &[3, 4]), Some(1));
+        assert_eq!(reps.expand(&[1, 0]), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -598,5 +598,6 @@ mod tests {
         assert_eq!(bound, ds);
         assert_eq!(reps.len(), 5);
         assert!(reps.iter().all(|r| r.len() == 1));
+        assert_eq!(&reps[3], &[3]);
     }
 }

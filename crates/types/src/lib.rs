@@ -9,19 +9,24 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod binding;
 mod columnar;
 mod dataset;
 mod dims;
 mod error;
 mod group;
+mod hash;
+mod row_table;
 mod section;
 mod value;
 
+pub use binding::Binding;
 pub use columnar::{ColumnView, ColumnarWindow};
 pub use dataset::{running_example, Dataset, DomRelation, ObjId};
 pub use dims::{DimIter, DimMask, SubsetIter, MAX_DIMS};
 pub use error::{Error, Result};
 pub use group::{normalize_groups, SkylineGroup};
+pub use hash::{FastHash, FastHasher};
 pub use section::{
     checksum, AlignedBytes, DirectoryEntry, Pod, Section, SectionError, SectionStore,
     SectionWriter, Span, SECTION_ALIGN,

@@ -80,7 +80,7 @@ commands:
   skyline  --cube CUBE.txt --space LETTERS    subspace skyline query
   member   --cube CUBE.txt --object ID --space LETTERS
   top      --cube CUBE.txt --k N              most frequent skyline objects
-  query    --data FILE.csv [--cube CUBE.txt]  run a batch query workload
+  query    --data FILE.csv | --cube CUBE      run a batch query workload
            [--source stellar|stellar-scan|direct]
            [--workload FILE|-] [--cache N] [--threads N] [--stats]
            [--deadline-ms MS] [--fallback] [--inject-faults SPEC]
@@ -88,18 +88,24 @@ commands:
            'top 5'; blank lines and # comments are ignored; --workload -
            (the default) reads from stdin; --cube (stellar and
            stellar-scan) loads the cube instead of building it from
-           --data; --stats prints per-merge-route timings and
-           lattice-memo counters for the indexed source; --deadline-ms
-           bounds each query; --fallback (stellar only) installs the
-           indexed -> scan -> direct degradation ladder;
+           --data, so --data is then refused unless the stellar
+           source's fallback ladder reads it; --stats prints
+           per-merge-route timings and lattice-memo counters for the
+           indexed source; --deadline-ms bounds each query; --fallback
+           (stellar only) installs the indexed -> scan -> direct
+           degradation ladder (the direct rung needs --data);
            --inject-faults (builds with the `faults` feature only) forces
-           failures: panic-route[=N],slow-route=MS,corrupt-cube,
-           poison-cache,seed=N
+           failures and installs the ladder: panic-route[=N],
+           slow-route=MS and corrupt-cube with --source stellar,
+           poison-cache with --cache, seed=N; a fault the command would
+           not act on is refused
   serve    --data FILE.csv [--socket PATH] [--listen HOST:PORT]
            [--wal PATH] [--checkpoint-every N] [--workers N]
            [--backlog N] [--io-timeout-ms MS] [--idle-timeout-ms MS]
            [--threads N] [--cache N] [--deadline-ms MS] [--metrics]
-           [--inject-faults SPEC]
+           [--inject-faults SPEC]   (panic-route[=N], slow-route=MS,
+           slow-client=MS; kill-mid-mutation[=N] and torn-wal-tail[=B]
+           with --wal; seed=N)
            resident daemon: builds the engine once, keeps the serving
            index, subspace cache and scratch pool warm, and answers
            the query protocol on stdin (and, with --socket /
@@ -401,6 +407,45 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
     if let Some(opt) = unread.iter().find(|&&opt| opts.contains_key(opt)) {
         return Err(format!("--{opt} is not read by --source {source}"));
     }
+    #[cfg(not(feature = "faults"))]
+    if opts.contains_key("inject-faults") {
+        return Err("--inject-faults needs a build with the `faults` feature \
+             (cargo build --release --features faults)"
+            .to_owned());
+    }
+    #[cfg(feature = "faults")]
+    let plan = match opts.get("inject-faults") {
+        Some(spec) => skycube::serve::faults::FaultPlan::parse(spec)?,
+        None => skycube::serve::faults::FaultPlan::default(),
+    };
+    #[cfg(feature = "faults")]
+    refuse_unacted_faults(&plan, |fault| match fault {
+        "panic-route" | "slow-route" | "corrupt-cube" if source != "stellar" => {
+            Some("needs --source stellar")
+        }
+        "poison-cache" if !opts.contains_key("cache") => Some("needs --cache"),
+        "kill-mid-mutation" | "torn-wal-tail" | "slow-client" => {
+            Some("is not acted on by query (it is a serve fault)")
+        }
+        _ => None,
+    })?;
+    // An active fault plan runs the stellar source behind the fallback
+    // ladder, whose last rung reads --data.
+    #[cfg(feature = "faults")]
+    let want_fallback = opts.contains_key("fallback") || plan.is_active();
+    #[cfg(not(feature = "faults"))]
+    let want_fallback = opts.contains_key("fallback");
+    // With --cube, the cube comes from the file: only the stellar source's
+    // fallback ladder still reads --data.
+    if opts.contains_key("cube")
+        && opts.contains_key("data")
+        && !(source == "stellar" && want_fallback)
+    {
+        return Err(format!(
+            "--data is not read by --source {source} with --cube \
+             (only the --fallback ladder of --source stellar reads both)"
+        ));
+    }
     let text = match opts.get("workload").map(String::as_str) {
         None | Some("-") => {
             use std::io::Read;
@@ -437,17 +482,6 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
         )?)),
         None => None,
     };
-    #[cfg(not(feature = "faults"))]
-    if opts.contains_key("inject-faults") {
-        return Err("--inject-faults needs a build with the `faults` feature \
-             (cargo build --release --features faults)"
-            .to_owned());
-    }
-    #[cfg(feature = "faults")]
-    let plan = match opts.get("inject-faults") {
-        Some(spec) => skycube::serve::faults::FaultPlan::parse(spec)?,
-        None => skycube::serve::faults::FaultPlan::default(),
-    };
     let serving = Serving {
         par,
         cache,
@@ -471,10 +505,6 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
     };
     match source {
         "stellar" => {
-            #[cfg(feature = "faults")]
-            let want_fallback = opts.contains_key("fallback") || serving.plan.is_active();
-            #[cfg(not(feature = "faults"))]
-            let want_fallback = opts.contains_key("fallback");
             if !want_fallback {
                 let cube = stellar_cube(opts)?;
                 return serve_workload(IndexedCubeSource::new(&cube), &queries, &serving);
@@ -570,6 +600,20 @@ fn stellar_cube_checked(
     stellar_cube(opts)
 }
 
+/// Refuse the first planned fault that `why_not` says the command will not
+/// act on: a fault that never fires must not pass for one that was
+/// survived.
+#[cfg(feature = "faults")]
+fn refuse_unacted_faults(
+    plan: &skycube::serve::faults::FaultPlan,
+    why_not: impl Fn(&str) -> Option<&'static str>,
+) -> Result<(), String> {
+    match plan.faults().find_map(|f| why_not(f).map(|why| (f, why))) {
+        Some((fault, why)) => Err(format!("--inject-faults {fault} {why}")),
+        None => Ok(()),
+    }
+}
+
 /// `serve`: build the engine once from `--data` (or recover it from a
 /// checkpoint + WAL with `--wal`), then answer the daemon protocol on
 /// stdin and — with `--socket PATH` and/or `--listen HOST:PORT` — through
@@ -611,6 +655,12 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         Some(spec) => skycube::serve::faults::FaultPlan::parse(spec)?,
         None => skycube::serve::faults::FaultPlan::default(),
     };
+    #[cfg(feature = "faults")]
+    refuse_unacted_faults(&plan, |fault| match fault {
+        "corrupt-cube" | "poison-cache" => Some("is not acted on by serve (it is a query fault)"),
+        "torn-wal-tail" | "kill-mid-mutation" if !opts.contains_key("wal") => Some("needs --wal"),
+        _ => None,
+    })?;
     let wal_path = opts.get("wal").map(std::path::PathBuf::from);
     let checkpoint_every = match opts.get("checkpoint-every") {
         Some(n) => {

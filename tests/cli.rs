@@ -619,6 +619,64 @@ fn query_refuses_sources_and_options_it_does_not_read() {
 }
 
 #[test]
+fn query_with_a_cube_refuses_data_unless_the_fallback_ladder_reads_it() {
+    // With --cube the cube comes from the file, so only the stellar
+    // source's fallback ladder (its direct rung) still reads --data. Any
+    // other --data is refused before the workload is read, even a path
+    // that does not exist.
+    let dir = tmpdir("query_cube_data");
+    let data = dir.join("d.csv");
+    let cube = dir.join("c.txt");
+    let (data_s, cube_s) = (data.to_str().unwrap(), cube.to_str().unwrap());
+    let out = run(&[
+        "generate",
+        "--dist",
+        "anti-correlated",
+        "--count",
+        "80",
+        "--dims",
+        "3",
+        "--seed",
+        "4",
+        "--out",
+        data_s,
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(run(&["build", "--data", data_s, "--out", cube_s])
+        .status
+        .success());
+    for (source, data) in [
+        ("stellar", "/nonexistent/d.csv"),
+        ("stellar", data_s),
+        ("stellar-scan", data_s),
+    ] {
+        let args = [
+            "query", "--data", data, "--cube", cube_s, "--source", source,
+        ];
+        let out = run_with_stdin(&args, "skyline AB\n");
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert!(
+            err.contains(&format!(
+                "--data is not read by --source {source} with --cube"
+            )),
+            "{args:?}: {err}"
+        );
+        assert!(stdout(&out).is_empty(), "{args:?}: {}", stdout(&out));
+    }
+    // The cube alone answers, and so does the ladder that reads both.
+    let alone = run_with_stdin(&["query", "--cube", cube_s], "skyline AB\ntop 2\n");
+    assert!(alone.status.success(), "{alone:?}");
+    let ladder = run_with_stdin(
+        &["query", "--data", data_s, "--cube", cube_s, "--fallback"],
+        "skyline AB\ntop 2\n",
+    );
+    assert!(ladder.status.success(), "{ladder:?}");
+    assert_eq!(answer_lines(&alone), answer_lines(&ladder));
+    assert_eq!(answer_lines(&alone).len(), 2);
+}
+
+#[test]
 fn query_reads_workload_from_stdin() {
     let dir = tmpdir("query_stdin");
     let data = dir.join("d.csv");

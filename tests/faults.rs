@@ -226,3 +226,62 @@ fn overloaded_daemon_sheds_with_classified_errors_and_counts_it() {
         "shed count missing from metrics dump:\n{dump}"
     );
 }
+
+/// The CLI refuses a planned fault that the command would not act on, and
+/// names it: a fault that never fires must not pass for one that was
+/// survived. `query` acts on route and cube faults through
+/// `--source stellar` only, on `poison-cache` behind `--cache` only, and
+/// never on the daemon's faults; `serve` never acts on the batch faults,
+/// and on the WAL faults only with `--wal`.
+#[test]
+fn cli_refuses_faults_the_command_does_not_act_on() {
+    use std::process::{Command, Stdio};
+    let dir = std::env::temp_dir().join(format!("skycube-faults-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create tmpdir");
+    let data = dir.join("d.csv");
+    skycube::datagen::save_csv(&running_example(), &data).expect("write csv");
+    let data = data.to_str().expect("utf-8 path");
+    let cases: [(&[&str], &str, &str); 8] = [
+        (
+            &["query", "--source", "direct"],
+            "panic-route",
+            "needs --source stellar",
+        ),
+        (
+            &["query", "--source", "stellar-scan"],
+            "slow-route=5",
+            "needs --source stellar",
+        ),
+        (
+            &["query", "--source", "direct"],
+            "corrupt-cube",
+            "needs --source stellar",
+        ),
+        (&["query"], "poison-cache", "needs --cache"),
+        (
+            &["query"],
+            "kill-mid-mutation=1",
+            "is not acted on by query",
+        ),
+        (&["query"], "slow-client=5", "is not acted on by query"),
+        (&["serve"], "corrupt-cube", "is not acted on by serve"),
+        (&["serve"], "torn-wal-tail", "needs --wal"),
+    ];
+    for (command, fault, why) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_skycube"))
+            .args(command)
+            .args(["--data", data, "--inject-faults", fault])
+            .stdin(Stdio::null())
+            .output()
+            .expect("spawn skycube");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let name = fault.split('=').next().expect("a fault name");
+        assert_eq!(out.status.code(), Some(1), "{command:?} {fault}: {out:?}");
+        assert!(
+            err.contains(&format!("--inject-faults {name} {why}")),
+            "{command:?} {fault}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{command:?} {fault}: {out:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -8,7 +8,8 @@
 //! and load — is compared with Skyey's groups, which come straight from
 //! Definitions 1–2, on datasets of the benchmark's size. The stream tests
 //! then drive the engine's maintenance paths with seeded mutation streams
-//! and compare the patched cube with Skyey's groups of the final rows.
+//! and compare the patched cube with Skyey's groups of the final rows; the
+//! seed-changing streams drive only the writes that re-derive the seeds.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -132,6 +133,72 @@ fn assert_stream_matches_oracle(label: &str, ds: &Dataset, steps: usize, seed: u
     }
 }
 
+/// Run a seeded stream of `steps` writes on an engine over `ds` in which
+/// every write changes the seed set, so each one re-derives the seeds from
+/// the old ones and rebuilds the seed lattice. A write inserts a new
+/// skyline row (a seed's row, or the minimum of two seeds' rows, lowered
+/// by one in one dimension: it dominates them and no seed dominates it),
+/// deletes a random seed, or copies a seed's row and then deletes the
+/// seed (the delete of a duplicated seed). The cube is compared with a
+/// from-scratch build every `steps / 5` steps and with Skyey's groups at
+/// the end.
+fn assert_seed_stream_matches_oracle(label: &str, ds: &Dataset, steps: usize, seed: u64) {
+    let dims = ds.dims();
+    let mut engine = StellarEngine::new(ds);
+    let mut rng = StdRng::seed_from_u64(seed);
+    for step in 0..steps {
+        let seeds = engine.cube().seeds().to_vec();
+        let s = seeds[rng.gen_range(0..seeds.len())];
+        let full_before = engine.maintenance_stats().full();
+        let writes = match rng.gen_range(0..3) {
+            0 => {
+                let t = seeds[rng.gen_range(0..seeds.len())];
+                let mut row: Vec<Value> = (0..dims)
+                    .map(|d| engine.row(s)[d].min(engine.row(t)[d]))
+                    .collect();
+                row[rng.gen_range(0..dims)] -= 1;
+                engine.insert(row).expect("row of the engine's width");
+                1
+            }
+            1 => {
+                engine.delete(s).expect("a live seed");
+                1
+            }
+            _ => {
+                engine
+                    .insert(engine.row(s).to_vec())
+                    .expect("row of the engine's width");
+                engine.delete(s).expect("a live seed");
+                2
+            }
+        };
+        assert_eq!(
+            engine.maintenance_stats().full(),
+            full_before + writes,
+            "{label}: step {step} did not change the seeds"
+        );
+        if (step + 1) % (steps / 5).max(1) == 0 {
+            let fresh = compute_cube(engine.rows());
+            assert_eq!(engine.cube().seeds(), fresh.seeds(), "{label}: step {step}");
+            check(
+                label,
+                &format!("the engine after {} seed-changing steps", step + 1),
+                engine.cube(),
+                &normalize_groups(fresh.groups().to_vec()),
+            );
+        }
+    }
+    check(
+        label,
+        &format!(
+            "the engine after {steps} seed-changing steps ({:?})",
+            engine.maintenance_stats()
+        ),
+        engine.cube(),
+        &oracle(engine.rows()),
+    );
+}
+
 #[test]
 #[ignore = "workload scale: run with --release --ignored"]
 fn anti_correlated_100k_by_5() {
@@ -159,6 +226,13 @@ fn mutation_stream_on_independent_100k_by_5() {
 
 #[test]
 #[ignore = "workload scale: run with --release --ignored"]
+fn seed_changing_stream_on_independent_100k_by_5() {
+    let ds = generate(Distribution::Independent, 100_000, 5, 1);
+    assert_seed_stream_matches_oracle("independent 100k × 5", &ds, 60, 21);
+}
+
+#[test]
+#[ignore = "workload scale: run with --release --ignored"]
 fn mutation_stream_on_anti_correlated_50k_by_5() {
     let ds = generate(Distribution::AntiCorrelated, 50_000, 5, 1);
     assert_stream_matches_oracle("anti-correlated 50k × 5", &ds, 200, 12);
@@ -173,4 +247,5 @@ fn tied_independent_100k_by_5_and_its_mutation_stream() {
     let label = "independent 100k × 5 over 10 values";
     assert_pipelines_match_oracle(label, &ds);
     assert_stream_matches_oracle(label, &ds, 400, 13);
+    assert_seed_stream_matches_oracle(label, &ds, 60, 22);
 }

@@ -258,6 +258,121 @@ proptest! {
         }
     }
 
+    /// The seed-changing writes re-derive the seeds from the old ones
+    /// (DRed) instead of recomputing the skyline. Over a 3-value domain,
+    /// where ties and duplicate rows are everywhere, every write is checked
+    /// against the definition: the engine's seeds are the naive full-space
+    /// skyline of its rows, and its groups are a from-scratch build's. Half
+    /// the cases adopt a built cube (the recovery path), and their first
+    /// write always changes the seeds.
+    #[test]
+    fn seed_changing_writes_rederive_the_skyline(
+        ds in dataset(4, 16, 3),
+        adopt in 0u8..2,
+        ops in vec((0u8..6, 0usize..4096, vec(0..3i64, 4)), 1..12),
+    ) {
+        use skycube::algorithms::skyline_naive;
+        let dims = ds.dims();
+        let adopt = adopt == 1;
+        let mut engine = match adopt {
+            true => StellarEngine::with_cube(&ds, compute_cube(&ds), Stellar::new()).unwrap(),
+            false => StellarEngine::new(&ds),
+        };
+        for (step, (kind, pick, row)) in ops.iter().enumerate() {
+            let seeds = engine.cube().seeds().to_vec();
+            let seed = seeds[pick % seeds.len()];
+            let full_before = engine.maintenance_stats().full();
+            // The first write of an adopted engine changes the seeds.
+            let kind = if adopt && step == 0 { kind % 4 } else { *kind };
+            let label = match kind {
+                // Ties a seed exactly: the copy joins the seeds.
+                0 => {
+                    engine.insert(engine.row(seed).to_vec()).unwrap();
+                    "insert tying a seed"
+                }
+                // The minimum of two seeds, one lower in one dimension:
+                // strictly dominates both (and maybe more), and no seed
+                // dominates it, or that seed would dominate both.
+                1 => {
+                    let other = seeds[(pick / 7) % seeds.len()];
+                    let (a, b) = (engine.row(seed), engine.row(other));
+                    let mut low: Vec<Value> = a.iter().zip(b).map(|(&x, &y)| x.min(y)).collect();
+                    low[pick % dims] -= 1;
+                    engine.insert(low).unwrap();
+                    "insert dominating seeds"
+                }
+                // A seed delete: with a duplicate when the data has one.
+                2 => {
+                    engine.delete(seed).unwrap();
+                    "seed delete"
+                }
+                // A seed delete that another object's copy survives.
+                3 => {
+                    engine.insert(engine.row(seed).to_vec()).unwrap();
+                    engine.delete(seed).unwrap();
+                    "seed delete with a duplicate"
+                }
+                4 => {
+                    engine.insert(row[..dims].to_vec()).unwrap();
+                    "insert"
+                }
+                _ => {
+                    engine.delete((pick % engine.len()) as ObjId).unwrap();
+                    "delete"
+                }
+            };
+            if kind < 4 {
+                prop_assert!(
+                    engine.maintenance_stats().full() > full_before,
+                    "step {}: {} took a fast path", step, label
+                );
+            }
+            let rows = engine.rows();
+            prop_assert_eq!(
+                engine.cube().seeds().to_vec(),
+                skyline_naive(rows, rows.full_space()),
+                "step {}: seeds after {}", step, label
+            );
+            let scratch = compute_cube(rows);
+            prop_assert_eq!(
+                skycube_types::normalize_groups(engine.cube().groups().to_vec()),
+                skycube_types::normalize_groups(scratch.groups().to_vec()),
+                "step {}: groups after {}", step, label
+            );
+            if engine.is_empty() {
+                break;
+            }
+        }
+    }
+
+    /// The duplicate bind equals a naive one: distinct rows in order of
+    /// first occurrence, each listing its objects ascending, and every
+    /// distinct row found again by value.
+    #[test]
+    fn bind_duplicates_equals_a_naive_bind(ds in dataset(4, 40, 3)) {
+        let mut rows: Vec<&[Value]> = Vec::new();
+        let mut objects: Vec<Vec<ObjId>> = Vec::new();
+        for o in ds.ids() {
+            match rows.iter().position(|&r| r == ds.row(o)) {
+                Some(b) => objects[b].push(o),
+                None => {
+                    rows.push(ds.row(o));
+                    objects.push(vec![o]);
+                }
+            }
+        }
+        let (bound, binding) = ds.bind_duplicates();
+        prop_assert_eq!(bound.len(), rows.len());
+        prop_assert_eq!(binding.len(), rows.len());
+        for (b, (&row, ids)) in rows.iter().zip(&objects).enumerate() {
+            prop_assert_eq!(bound.row(b as ObjId), row);
+            prop_assert_eq!(&binding[b], &ids[..]);
+            prop_assert_eq!(binding.find(&bound, row), Some(b as ObjId));
+        }
+        let all: Vec<ObjId> = (0..bound.len() as ObjId).collect();
+        prop_assert_eq!(binding.expand(&all), ds.ids().collect::<Vec<_>>());
+    }
+
     #[test]
     fn lattice_is_antitone(ds in dataset(4, 16, 3)) {
         let cube = compute_cube(&ds);
