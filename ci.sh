@@ -69,9 +69,16 @@ echo '== byte-identity gate: skycube build output is unchanged'
 # The sha256 of the text cube, at default threads and at --threads 1, and
 # of the binary cube, for one generated 2,000 × 5 dataset per
 # distribution, plus the independent one quantized to 10 values per
-# dimension (1,982 distinct rows, ties with seed values everywhere). A
-# change that means to alter answers updates these values and says why in
-# CHANGES.md.
+# dimension (1,982 distinct rows, ties with seed values everywhere), plus
+# 40 independent rows in 24 dimensions, whose groups have antichains of up
+# to 1,190 decisives. Writing that binary cube runs the covered-subspace
+# counter at |B| = 24, which took 13.5 s when it enumerated the 2^|B|
+# subsets of B and takes milliseconds with the Shannon expansion, so this
+# gate slows down visibly if the enumeration comes back. A change that
+# means to alter answers updates these values and says why in CHANGES.md.
+# The binary values last changed with format version 2, which dropped the
+# per-dimension posting lists and the popcount buckets from the file; the
+# text values did not change with it.
 check_sha256() {
     got=$(sha256sum "$1" | cut -d ' ' -f 1)
     if [ "$got" != "$2" ]; then
@@ -95,20 +102,25 @@ for dist in correlated independent anti-correlated; do
     ./target/release/skycube generate --dist "$dist" --count 2000 --dims 5 \
         --seed 7 --out "$SMOKE_DIR/hash-$dist.csv" > /dev/null
 done
+./target/release/skycube generate --dist independent --count 40 --dims 24 \
+    --seed 7 --out "$SMOKE_DIR/hash-wide.csv" > /dev/null
 awk -F, -v OFS=, 'NR==1{print;next}{for(i=1;i<=NF;i++) $i=int($i/1000)}1' \
     "$SMOKE_DIR/hash-independent.csv" > "$SMOKE_DIR/hash-tied.csv"
 hash_gate "$SMOKE_DIR/hash-correlated.csv" \
     20e4a8ae5f1078a539e64d9be96f7b47a17202f4a4e4efc414c7b4aeb4301f1f \
-    0630e624ff38679956034447294b90db4aab012ab7982601786b314dd99e0e69
+    c9e4883b9a3b59c5ffe1cbe394262cf235999c83cce934d052fd78af7292aac9
 hash_gate "$SMOKE_DIR/hash-independent.csv" \
     59716d45b9390c2e64692d9bc65d94c2d92c4417186eeb91bfe2e4dc642b408a \
-    0627a43697dedbc92aa86e661f406c6233102cb9423d8ba3ecea50e22b4c3544
+    b21d84efeddcaffee31db7382f37a03e737493742b1156a1224b465d3d50e121
 hash_gate "$SMOKE_DIR/hash-anti-correlated.csv" \
     bfe1e497cacf00267665cba6cf9699c202885e00418cd6d75a162de05bc2f845 \
-    9d53f3a66cca019b22c42f550cc6a90b41a5cea8158efe007a1af8453877b863
+    3bc05bdcc71daa49db9641160c86c3c8cd54e9f450c5a11e4d393595638ce43f
 hash_gate "$SMOKE_DIR/hash-tied.csv" \
     6fe7a7fb9cb3897e1de1678efcffeca4d46a269b7f9dadc6233558ffaa5dc078 \
-    1ca2da641fbbff2187e518e4ecc577f654da15b9a08218b79a74be4031632474
+    008388fc4d362186711676e69605263ba61e4e4ce4044cf255ee85caf46425cb
+hash_gate "$SMOKE_DIR/hash-wide.csv" \
+    a4815cc8075a82395b3b4db676ec52dd83a5e57a65deff9ff54f3ceada040a30 \
+    5205748bb61133e0c55ba1b8b6599dd98e2279b22712b2df7257f028ccfb3705
 
 echo '== queries bench smoke: indexed == scan + memo self-verify'
 # --verify asserts indexed == scan, zero demotions behind the fallback

@@ -59,4 +59,4 @@ pub use source::{
     DirectSource, IndexStats, IndexedCubeSource, RouteStats, ScanCubeSource, SkylineSource,
 };
 pub use wal::{recover, CheckpointData, Recovery, TornTail, Wal, WalOpen, WalRecord};
-pub use workload::{parse_query_line, parse_workload, Query};
+pub use workload::{parse_query_line, parse_space, parse_workload, Query};

@@ -634,8 +634,8 @@ mod tests {
             sweeps
         );
         // Every subspace that took the decisive prefilter in sweep 1 is an
-        // exact hit in sweep 2 (the full space goes through the bucket
-        // sweep here and is never stored).
+        // exact hit in sweep 2 (the full space loops over every group
+        // here and is never stored).
         assert!(stats.memo_exact + 1 >= sweeps / 2, "{stats:?}");
         // Non-indexed sources expose nothing.
         assert_eq!(ScanCubeSource::new(&cube).index_stats(), None);

@@ -43,7 +43,11 @@ impl fmt::Display for Query {
     }
 }
 
-fn parse_space(token: &str) -> Result<DimMask, String> {
+/// Parse a query subspace token: one or more dimension letters, none
+/// repeated (`ABD`). The workload grammar and the CLI's `--space` both read
+/// subspaces through this function; checking the subspace against a
+/// dataset's dimensionality is left to the caller.
+pub fn parse_space(token: &str) -> Result<DimMask, String> {
     let mask = DimMask::parse(token)
         .ok_or_else(|| format!("bad subspace {token:?}: expected dimension letters like ABD"))?;
     if mask.is_empty() {

@@ -4,7 +4,7 @@
 //! membership, and multidimensional (per-dimensionality) skyline analysis.
 
 use crate::index::CubeIndex;
-use skycube_types::{Dataset, DimMask, ObjId, SkylineGroup};
+use skycube_types::{Dataset, DimMask, ObjId, SkylineGroup, MAX_DIMS};
 use std::sync::OnceLock;
 
 /// The scan-path tables: the group list plus the per-object reverse map.
@@ -392,7 +392,10 @@ impl CompressedSkylineCube {
         // which cannot happen: within one subspace an object belongs to
         // exactly one (maximal) coincident group. So the per-group counts
         // add up.
-        self.groups_of(o).map(covered_subspace_count).sum()
+        let mut scratch = Vec::new();
+        self.groups_of(o)
+            .map(|g| covered_subspace_count(g, &mut scratch))
+            .sum()
     }
 
     // ------------------------------------------------------------------
@@ -404,10 +407,11 @@ impl CompressedSkylineCube {
     /// objects" series in Figures 9 and 10 — derived from the compressed
     /// representation without touching the data.
     pub fn skycube_size(&self) -> u64 {
+        let mut scratch = Vec::new();
         self.tables()
             .groups
             .iter()
-            .map(|g| covered_subspace_count(g) * g.members.len() as u64)
+            .map(|g| covered_subspace_count(g, &mut scratch) * g.members.len() as u64)
             .sum()
     }
 
@@ -415,9 +419,11 @@ impl CompressedSkylineCube {
     /// entry `k − 1` of the result covers the `k`-dimensional subspaces.
     pub fn skycube_sizes_by_dimensionality(&self) -> Vec<u64> {
         let mut out = vec![0u64; self.dims];
+        let mut scratch = Vec::new();
         for g in &self.tables().groups {
-            for (k, count) in covered_counts_by_size(g).into_iter().enumerate() {
-                out[k] += count * g.members.len() as u64;
+            let by_size = covered_counts_by_size(g, &mut scratch);
+            for (k, slot) in out.iter_mut().enumerate() {
+                *slot += by_size[k + 1] * g.members.len() as u64;
             }
         }
         out
@@ -465,82 +471,136 @@ impl CompressedSkylineCube {
     }
 }
 
+/// `BINOMIAL[n][j]` = C(n, j) for `n ≤ MAX_DIMS`: the number of `j`-element
+/// subsets of `n` free dimensions.
+const BINOMIAL: [[u64; MAX_DIMS + 1]; MAX_DIMS + 1] = {
+    let mut t = [[0u64; MAX_DIMS + 1]; MAX_DIMS + 1];
+    let mut n = 0;
+    while n <= MAX_DIMS {
+        t[n][0] = 1;
+        let mut j = 1;
+        while j <= n {
+            t[n][j] = t[n - 1][j - 1] + t[n - 1][j];
+            j += 1;
+        }
+        n += 1;
+    }
+    t
+};
+
 /// Number of subspaces `A` with `C_i ⊆ A ⊆ B` for at least one decisive
-/// `C_i`.
+/// `C_i`: the sum of [`covered_counts_by_size`].
+pub(crate) fn covered_subspace_count(g: &SkylineGroup, scratch: &mut Vec<DimMask>) -> u64 {
+    covered_counts_by_size(g, scratch).iter().sum()
+}
+
+/// The covered subspaces of `g` by size: entry `k` counts the covered
+/// `k`-dimensional subspaces (entry 0, the empty set, is never covered).
+/// `scratch` is the expansion's working buffer; a caller counting many
+/// groups passes the same one.
+fn covered_counts_by_size(g: &SkylineGroup, scratch: &mut Vec<DimMask>) -> [u64; MAX_DIMS + 1] {
+    let mut by_size = [0u64; MAX_DIMS + 1];
+    scratch.clear();
+    scratch.extend_from_slice(&g.decisive);
+    expand(g.subspace, 0, scratch, 0, &mut by_size);
+    by_size
+}
+
+/// One Shannon expansion over the dimensions of `B` counts the covered
+/// subspaces by size. Write `count(B, Cs)` for the subsets of `B` that
+/// contain some `C ∈ Cs`; this node adds it for `B = b` and
+/// `Cs = family[base..]`, each subset counted at its size plus `fixed`,
+/// the dimensions the branches above put in:
+/// - `Cs` empty → nothing; `∅ ∈ Cs` → every subset of `b`; `Cs = {C}` →
+///   the `2^|b ∖ C|` supersets of `C`;
+/// - the one-dimension decisives, with union `S`, cover every subset that
+///   meets `S`; the rest lie in `b ∖ S` and need a decisive disjoint from
+///   `S`;
+/// - otherwise, for the dimension `x` most decisives mention, the subsets
+///   without `x` need a decisive without `x`, and the subsets with `x` need
+///   some `C ∖ x` among the other dimensions.
 ///
-/// Two strategies: inclusion–exclusion over the decisive antichain (O(2^k)
-/// for `k` decisives — exact and fast for the typical handful) and, when the
-/// antichain is wide (real data at high dimensionality can produce dozens of
-/// decisives per group), direct enumeration of the `2^|B|` subspaces of the
-/// maximal subspace, which is bounded by the dimensionality instead.
-pub(crate) fn covered_subspace_count(g: &SkylineGroup) -> u64 {
-    if g.decisive.len() <= g.subspace.len().min(20) {
-        covered_by_inclusion_exclusion(g)
-    } else {
-        g.subspace
-            .subsets()
-            .filter(|&a| g.decisive.iter().any(|c| c.is_subset_of(a)))
-            .count() as u64
+/// Every step removes a dimension of `b`, so no expansion visits more than
+/// `2^|B|` leaves however wide the antichain is. A child's family is pushed
+/// above this node's and popped on return, so the whole expansion shares
+/// one buffer and allocates nothing per node.
+fn expand(
+    b: DimMask,
+    base: usize,
+    family: &mut Vec<DimMask>,
+    fixed: usize,
+    by_size: &mut [u64; MAX_DIMS + 1],
+) {
+    let top = family.len();
+    match top - base {
+        0 => return,
+        1 => {
+            let c = family[base];
+            add_subsets(by_size, b.len() - c.len(), fixed + c.len());
+            return;
+        }
+        _ => {}
     }
+    let mut singles = DimMask::EMPTY;
+    let mut mentions = [0u32; MAX_DIMS];
+    for &c in &family[base..top] {
+        match c.len() {
+            0 => {
+                add_subsets(by_size, b.len(), fixed);
+                return;
+            }
+            1 => singles = singles | c,
+            _ => {
+                for d in c.iter() {
+                    mentions[d] += 1;
+                }
+            }
+        }
+    }
+    if !singles.is_empty() {
+        // The subsets of `b` that meet `S`: all of them but the subsets of
+        // `b ∖ S`.
+        let rest = b - singles;
+        for j in 0..=b.len() {
+            by_size[fixed + j] += BINOMIAL[b.len()][j] - BINOMIAL[rest.len()][j];
+        }
+        for i in base..top {
+            let c = family[i];
+            if !c.intersects(singles) {
+                family.push(c);
+            }
+        }
+        expand(rest, top, family, fixed, by_size);
+        family.truncate(top);
+        return;
+    }
+    let x = b
+        .iter()
+        .max_by_key(|&d| (mentions[d], std::cmp::Reverse(d)))
+        .expect("a decisive of two or more dimensions lies in b");
+    let rest = b.without(x);
+    for i in base..top {
+        let c = family[i];
+        if !c.contains(x) {
+            family.push(c);
+        }
+    }
+    expand(rest, top, family, fixed, by_size);
+    family.truncate(top);
+    for i in base..top {
+        let c = family[i];
+        family.push(c.without(x));
+    }
+    expand(rest, top, family, fixed + 1, by_size);
+    family.truncate(top);
 }
 
-fn covered_by_inclusion_exclusion(g: &SkylineGroup) -> u64 {
-    let k = g.decisive.len();
-    let b = g.subspace;
-    let mut total: i64 = 0;
-    for t in 1u32..(1u32 << k) {
-        let mut union = DimMask::EMPTY;
-        for (i, &c) in g.decisive.iter().enumerate() {
-            if t & (1 << i) != 0 {
-                union = union | c;
-            }
-        }
-        let free = (b - union).len() as u32;
-        let term = 1i64 << free;
-        if t.count_ones() % 2 == 1 {
-            total += term;
-        } else {
-            total -= term;
-        }
+/// Add the subsets of `n` free dimensions, each holding `fixed` more, at
+/// their sizes.
+fn add_subsets(by_size: &mut [u64; MAX_DIMS + 1], n: usize, fixed: usize) {
+    for j in 0..=n {
+        by_size[fixed + j] += BINOMIAL[n][j];
     }
-    total as u64
-}
-
-/// Like [`covered_subspace_count`] but split by subspace size: entry `k − 1`
-/// counts the covered subspaces of dimensionality `k`. Same dual strategy.
-fn covered_counts_by_size(g: &SkylineGroup) -> Vec<u64> {
-    let dims = g.subspace.len();
-    let k = g.decisive.len();
-    if k > dims.min(20) {
-        let mut out = vec![0u64; dims];
-        for a in g.subspace.subsets() {
-            if g.decisive.iter().any(|c| c.is_subset_of(a)) {
-                out[a.len() - 1] += 1;
-            }
-        }
-        return out;
-    }
-    let mut out = vec![0i64; dims];
-    for t in 1u32..(1u32 << k) {
-        let mut union = DimMask::EMPTY;
-        for (i, &c) in g.decisive.iter().enumerate() {
-            if t & (1 << i) != 0 {
-                union = union | c;
-            }
-        }
-        let fixed = union.len();
-        let free = dims - fixed;
-        let sign = if t.count_ones() % 2 == 1 { 1 } else { -1 };
-        // Choose j of the free dims: subspace size fixed + j.
-        let mut binom: i64 = 1; // C(free, 0)
-        for j in 0..=free {
-            out[fixed + j - 1] += sign * binom;
-            if j < free {
-                binom = binom * (free - j) as i64 / (j + 1) as i64;
-            }
-        }
-    }
-    out.into_iter().map(|x| x as u64).collect()
 }
 
 #[cfg(test)]
@@ -648,32 +708,11 @@ mod tests {
     }
 
     #[test]
-    fn wide_antichain_falls_back_to_enumeration() {
-        // A group whose decisive antichain is wider than its subspace
-        // dimensionality: all C(6,3) = 20 three-dim subsets of a 6-d space.
-        let b = DimMask::full(6);
-        let decisive: Vec<DimMask> = b.subsets().filter(|s| s.len() == 3).collect();
-        assert_eq!(decisive.len(), 20);
-        let g = SkylineGroup::new(vec![0], b, decisive.clone());
-        // Covered = all subspaces of size ≥ 3: C(6,3)+C(6,4)+C(6,5)+C(6,6).
-        assert_eq!(covered_subspace_count(&g), 20 + 15 + 6 + 1);
-        let by_size = covered_counts_by_size(&g);
-        assert_eq!(by_size, vec![0, 0, 20, 15, 6, 1]);
-        // Both strategies agree on a narrower instance.
-        let g2 = SkylineGroup::new(vec![0], b, decisive.into_iter().take(4).collect());
-        let direct = b
-            .subsets()
-            .filter(|&a| g2.decisive.iter().any(|c| c.is_subset_of(a)))
-            .count() as u64;
-        assert_eq!(covered_by_inclusion_exclusion(&g2), direct);
-    }
-
-    #[test]
     fn interval_counting_with_overlapping_decisives() {
         // B = ABCD, decisives AB and BD overlap on B: |{A : AB⊆A⊆ABCD}| = 4,
         // |BD ⊆ A| = 4, |ABD ⊆ A| = 2 → 4 + 4 − 2 = 6.
         let g = SkylineGroup::new(vec![0], mask("ABCD"), vec![mask("AB"), mask("BD")]);
-        assert_eq!(covered_subspace_count(&g), 6);
+        assert_eq!(covered_subspace_count(&g, &mut Vec::new()), 6);
     }
 
     #[test]

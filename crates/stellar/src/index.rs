@@ -1,8 +1,7 @@
 //! The serving index over a computed cube: CSR-flattened group storage with
-//! per-dimension posting lists, popcount buckets and precomputed membership
-//! counts, so the paper's three query families run without rescanning the
-//! group list (the scan path in [`CompressedSkylineCube`] stays as the
-//! reference implementation).
+//! decisive posting lists and precomputed membership counts, so the paper's
+//! three query families run without rescanning the group list (the scan
+//! path in [`CompressedSkylineCube`] stays as the reference implementation).
 //!
 //! Layout:
 //!
@@ -12,12 +11,12 @@
 //! - **Interned decisive antichains** — groups sharing the same decisive set
 //!   (extremely common: most groups have a single one-dimensional decisive)
 //!   point into one shared pool.
-//! - **Per-dimension posting lists** — `postings[d]` holds the groups whose
-//!   maximal subspace contains dimension `d`; a query on subspace `A` only
-//!   examines the shortest posting list among `A`'s dimensions.
-//! - **Popcount buckets** — groups bucketed by `|B|`; a query on `A` can
-//!   alternatively sweep only the buckets with `|B| ≥ |A|`, whichever
-//!   candidate set is smaller.
+//! - **Decisive posting lists** — for each distinct decisive subspace `C`,
+//!   the groups with `C` in their antichain. A group covers `A` exactly when
+//!   one of its decisives `C` satisfies `C ⊆ A ⊆ B`, so a query on `A`
+//!   unions the lists of the `C ⊆ A` and tests `A ⊆ B` on what it finds.
+//!   When `A` has more subsets than the index has groups, one loop over the
+//!   groups is cheaper and runs instead.
 //! - **Precomputed analytics** — per-group covered-subspace counts, sparse
 //!   membership counts keyed by the *active* objects (those in at least one
 //!   group), and the full frequency ranking (count descending, id
@@ -45,9 +44,9 @@
 //! (`A ⊆ P` does not imply every group covering `A` covers `P`), but the
 //! decisively-qualified set `D(A) = {g : ∃C ∈ decisive(g), C ⊆ A}` is:
 //! `A ⊆ P ⟹ D(A) ⊆ D(P)`. The per-index [`LatticeMemo`] therefore stores
-//! `D(·)` as sorted group-id lists. An exact hit replaces the posting-union
-//! prefilter with one `A ⊆ B` bit test per id; an ancestor hit filters the
-//! smallest memoized superset's list instead of touching postings at all.
+//! `D(·)` as sorted group-id lists. An exact hit replaces the prefilter with
+//! one `A ⊆ B` bit test per id; an ancestor hit filters the smallest
+//! memoized superset's list instead of touching the posting lists at all.
 //! The memo is bounded (entries and total ids) with LRU eviction, and
 //! [`CubeIndex::invalidate_memo`] empties it for maintenance paths.
 
@@ -190,7 +189,8 @@ impl MergeRoute {
 /// How the lattice memo participated in a query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum MemoOutcome {
-    /// No usable entry; the prefilter ran from the posting lists.
+    /// No usable entry; the prefilter ran: the decisive route, or the loop
+    /// over all groups.
     #[default]
     Miss,
     /// The queried subspace itself was memoized.
@@ -302,8 +302,8 @@ impl LatticeMemo {
 
     /// Copy the best available list for `space` into `dst`: the exact entry
     /// if present, else the smallest memoized strict superset whose list is
-    /// narrower than half the group universe (a wider one would not beat the
-    /// posting prefilter).
+    /// narrower than half the group universe (filtering a wider one would
+    /// save little over the prefilter).
     fn lookup(&self, space: DimMask, n_groups: usize, dst: &mut Vec<u32>) -> MemoOutcome {
         dst.clear();
         let mut inner = self.lock_inner();
@@ -514,10 +514,6 @@ pub struct CubeIndex {
     /// Per-group size of the smallest decisive subspace — a query on a
     /// smaller subspace can never be covered.
     min_decisive_len: Section<u8>,
-    /// CSR over dimensions: `postings[posting_offsets[d]..posting_offsets[d
-    /// + 1]]` = ascending ids of the groups with `d ∈ B`.
-    posting_offsets: Section<u64>,
-    postings: Section<u32>,
     /// Decisive posting lists, CSR keyed by the sorted `decisive_keys`: for
     /// each distinct decisive subspace `C`, the ascending ids of the groups
     /// with `C` in their antichain. A query on `A` unions the lists of all
@@ -526,12 +522,6 @@ pub struct CubeIndex {
     decisive_keys: Section<DimMask>,
     decisive_list_offsets: Section<u64>,
     decisive_lists: Section<u32>,
-    /// CSR over popcounts: `buckets[bucket_offsets[k]..bucket_offsets[k +
-    /// 1]]` = ascending ids of the groups with `|B| = k + 1`.
-    bucket_offsets: Section<u64>,
-    buckets: Section<u32>,
-    /// `bucket_suffix[k]` = number of groups with `|B| ≥ k + 1`.
-    bucket_suffix: Section<u64>,
     /// Sparse CSR of object → group ids (mirrors the cube's
     /// `member_groups`), keyed by the **active** objects — those that appear
     /// in at least one group. The compressed cube references only the union
@@ -549,7 +539,7 @@ pub struct CubeIndex {
     freq_rank_obj: Section<ObjId>,
     freq_rank_count: Section<u64>,
     /// Per-group covered-subspace counts, kept so the splice path can carry
-    /// them across generations instead of re-running inclusion–exclusion.
+    /// them across generations instead of recounting them.
     covered: Section<u64>,
     /// Bounded memo of decisively-qualified sets along the lattice.
     /// Transient: never persisted, cold after a load or clone.
@@ -561,7 +551,12 @@ impl CubeIndex {
     /// groups plus the per-group covered-subspace counts the scan path would
     /// otherwise pay on every `membership_count` query.
     pub fn build(cube: &CompressedSkylineCube) -> CubeIndex {
-        let covered: Vec<u64> = cube.groups().iter().map(covered_subspace_count).collect();
+        let mut scratch = Vec::new();
+        let covered: Vec<u64> = cube
+            .groups()
+            .iter()
+            .map(|g| covered_subspace_count(g, &mut scratch))
+            .collect();
         CubeIndex::assemble(
             cube.dims(),
             cube.num_objects(),
@@ -572,8 +567,8 @@ impl CubeIndex {
     }
 
     /// Patch the index in place after a maintenance delta: carried groups
-    /// keep their covered-subspace counts (no inclusion–exclusion rerun),
-    /// the CSR runs and posting lists are re-laid-out in one linear pass
+    /// keep their covered-subspace counts (no recount), the CSR runs and
+    /// decisive posting lists are re-laid-out in one linear pass
     /// over the new groups, and the lattice memo survives selectively —
     /// only entries whose subspace contains a decisive of a touched group
     /// are purged, the rest are remapped old→new group ids.
@@ -598,9 +593,10 @@ impl CubeIndex {
                 carried[ni as usize] = true;
             }
         }
+        let mut scratch = Vec::new();
         for (ni, g) in groups.iter().enumerate() {
             if !carried[ni] {
-                covered[ni] = covered_subspace_count(g);
+                covered[ni] = covered_subspace_count(g, &mut scratch);
             }
         }
         let memo = std::mem::take(&mut self.memo);
@@ -641,9 +637,7 @@ impl CubeIndex {
         let mut interned: HashMap<&[DimMask], Span> = HashMap::new();
         let mut subspaces = Vec::with_capacity(groups.len());
         let mut min_decisive_len = Vec::with_capacity(groups.len());
-        let mut postings = vec![Vec::new(); dims];
         let mut decisive_postings: HashMap<DimMask, Vec<u32>> = HashMap::new();
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); dims];
 
         member_offsets.push(0u64);
         for (gi, g) in groups.iter().enumerate() {
@@ -660,27 +654,10 @@ impl CubeIndex {
             decisive_spans.push(span);
             subspaces.push(g.subspace);
             min_decisive_len.push(g.decisive.iter().map(|c| c.len()).min().unwrap_or(0) as u8);
-            for d in g.subspace.iter() {
-                postings[d].push(gi as u32);
-            }
             for &c in &g.decisive {
                 decisive_postings.entry(c).or_default().push(gi as u32);
             }
-            if !g.subspace.is_empty() {
-                buckets[g.subspace.len() - 1].push(gi as u32);
-            }
         }
-
-        let mut bucket_suffix = vec![0u64; dims + 1];
-        for k in (0..dims).rev() {
-            bucket_suffix[k] = bucket_suffix[k + 1] + buckets[k].len() as u64;
-        }
-        bucket_suffix.truncate(dims.max(1));
-
-        // Flatten the per-dimension and per-popcount lists into CSR pairs —
-        // the flat shape is both the section layout and the query layout.
-        let (posting_offsets, postings) = flatten_csr(&postings);
-        let (bucket_offsets, buckets) = flatten_csr(&buckets);
 
         // The decisive posting map becomes sorted keys plus a CSR; lookups
         // binary-search the key column.
@@ -749,14 +726,9 @@ impl CubeIndex {
             decisive_spans: decisive_spans.into(),
             subspaces: subspaces.into(),
             min_decisive_len: min_decisive_len.into(),
-            posting_offsets: posting_offsets.into(),
-            postings: postings.into(),
             decisive_keys: decisive_keys.into(),
             decisive_list_offsets: decisive_list_offsets.into(),
             decisive_lists: decisive_lists.into(),
-            bucket_offsets: bucket_offsets.into(),
-            buckets: buckets.into(),
-            bucket_suffix: bucket_suffix.into(),
             obj_groups: obj_groups.into(),
             active_objs: active_objs.into(),
             active_offsets: active_offsets.into(),
@@ -840,20 +812,6 @@ impl CubeIndex {
         }
     }
 
-    /// The posting list of dimension `d` (groups whose `B` contains `d`).
-    fn posting(&self, d: usize) -> &[u32] {
-        let s = self.posting_offsets[d] as usize;
-        let e = self.posting_offsets[d + 1] as usize;
-        &self.postings[s..e]
-    }
-
-    /// The popcount bucket `k` (groups with `|B| = k + 1`).
-    fn bucket(&self, k: usize) -> &[u32] {
-        let s = self.bucket_offsets[k] as usize;
-        let e = self.bucket_offsets[k + 1] as usize;
-        &self.buckets[s..e]
-    }
-
     /// The decisive posting list of subspace `c`, if any group has `c` in
     /// its antichain — a binary search over the sorted key column.
     fn decisive_list(&self, c: DimMask) -> Option<&[u32]> {
@@ -880,20 +838,19 @@ impl CubeIndex {
     }
 
     /// Collect the ids of the groups covering `space` into `scratch.groups`,
-    /// consulting the lattice memo first and falling back to the cheapest
-    /// of three prefilters. `space` must be valid.
+    /// consulting the lattice memo first. `space` must be valid.
     ///
-    /// 1. **Decisive route** (the common case, `2^|A|` small): union the
-    ///    decisive posting lists of every `C ⊆ A`; each listed group is
-    ///    decisively qualified, so only the `A ⊆ B` bit test remains. A
-    ///    stamp array dedups groups reachable through several decisives.
-    /// 2. **Popcount-bucket route**: sweep only the groups with `|B| ≥ |A|`.
-    /// 3. **Dimension-posting route**: sweep the shortest posting list among
-    ///    `A`'s dimensions.
+    /// On a miss, the **decisive route** runs when `A` has no more subsets
+    /// than the index has groups (`2^|A| − 1 ≤ #groups`, the common case):
+    /// union the decisive posting lists of every `C ⊆ A`; each listed group
+    /// is decisively qualified, so only the `A ⊆ B` bit test remains. A stamp
+    /// array dedups groups reachable through several decisives. Otherwise
+    /// one loop tests every group with [`Self::covers`], which visits fewer
+    /// groups than the decisive route would enumerate subsets.
     ///
-    /// Routes 1 and both memo paths also recover `D(A)` (into
-    /// `scratch.qualified`), which is stored back into the memo; the sweep
-    /// routes only visit a slice of the universe, so they cannot.
+    /// The decisive route and both memo paths also recover `D(A)` (into
+    /// `scratch.qualified`), which is stored back into the memo; the loop
+    /// stores nothing.
     fn collect_covering(&self, space: DimMask, scratch: &mut IndexScratch, probe: &mut IndexProbe) {
         scratch.groups.clear();
         scratch.qualified.clear();
@@ -958,27 +915,10 @@ impl CubeIndex {
             scratch.qualified.sort_unstable();
             self.memo.store(space, &scratch.qualified);
         } else {
-            let shortest = space
-                .iter()
-                .map(|d| self.posting(d))
-                .min_by_key(|p| p.len())
-                .expect("non-empty subspace");
-            let via_buckets = self.bucket_suffix.get(k - 1).copied().unwrap_or(0) as usize;
-            if via_buckets < shortest.len() {
-                for kk in (k - 1)..self.dims {
-                    for &g in self.bucket(kk) {
-                        probe.candidates += 1;
-                        if self.covers(g, space, k) {
-                            scratch.groups.push(g);
-                        }
-                    }
-                }
-            } else {
-                for &g in shortest {
-                    probe.candidates += 1;
-                    if self.covers(g, space, k) {
-                        scratch.groups.push(g);
-                    }
+            probe.candidates += n_groups;
+            for g in 0..n_groups as u32 {
+                if self.covers(g, space, k) {
+                    scratch.groups.push(g);
                 }
             }
         }
@@ -1162,22 +1102,16 @@ pub(crate) mod section_id {
     pub const SUBSPACES: u32 = 5;
     /// Per-group smallest decisive size (`u8`).
     pub const MIN_DECISIVE_LEN: u32 = 6;
-    /// Per-dimension posting CSR offsets (`u64`).
-    pub const POSTING_OFFSETS: u32 = 7;
-    /// Per-dimension posting lists (`u32`).
-    pub const POSTINGS: u32 = 8;
+    // Ids 7 and 8 held the per-dimension posting lists and 12–14 the
+    // popcount buckets, retired in format version 2. A version-1 file still
+    // carries them; they are checksummed with every section and never read.
+    // The ids stay reserved.
     /// Sorted distinct decisive subspaces (`DimMask`).
     pub const DECISIVE_KEYS: u32 = 9;
     /// Decisive posting CSR offsets (`u64`).
     pub const DECISIVE_LIST_OFFSETS: u32 = 10;
     /// Decisive posting lists (`u32`).
     pub const DECISIVE_LISTS: u32 = 11;
-    /// Popcount bucket CSR offsets (`u64`).
-    pub const BUCKET_OFFSETS: u32 = 12;
-    /// Popcount buckets (`u32`).
-    pub const BUCKETS: u32 = 13;
-    /// Bucket suffix counts (`u64`).
-    pub const BUCKET_SUFFIX: u32 = 14;
     /// Object → group sparse CSR values (`u32`).
     pub const OBJ_GROUPS: u32 = 15;
     /// Sparse object → group CSR offsets, per active object (`u64`).
@@ -1205,14 +1139,9 @@ pub(crate) mod section_id {
             DECISIVE_SPANS => "decisive_spans",
             SUBSPACES => "subspaces",
             MIN_DECISIVE_LEN => "min_decisive_len",
-            POSTING_OFFSETS => "posting_offsets",
-            POSTINGS => "postings",
             DECISIVE_KEYS => "decisive_keys",
             DECISIVE_LIST_OFFSETS => "decisive_list_offsets",
             DECISIVE_LISTS => "decisive_lists",
-            BUCKET_OFFSETS => "bucket_offsets",
-            BUCKETS => "buckets",
-            BUCKET_SUFFIX => "bucket_suffix",
             OBJ_GROUPS => "obj_groups",
             ACTIVE_OFFSETS => "active_offsets",
             ACTIVE_FREQ => "active_freq",
@@ -1278,14 +1207,9 @@ impl CubeIndex {
         w.push(id::DECISIVE_SPANS, &self.decisive_spans);
         w.push(id::SUBSPACES, &self.subspaces);
         w.push(id::MIN_DECISIVE_LEN, &self.min_decisive_len);
-        w.push(id::POSTING_OFFSETS, &self.posting_offsets);
-        w.push(id::POSTINGS, &self.postings);
         w.push(id::DECISIVE_KEYS, &self.decisive_keys);
         w.push(id::DECISIVE_LIST_OFFSETS, &self.decisive_list_offsets);
         w.push(id::DECISIVE_LISTS, &self.decisive_lists);
-        w.push(id::BUCKET_OFFSETS, &self.bucket_offsets);
-        w.push(id::BUCKETS, &self.buckets);
-        w.push(id::BUCKET_SUFFIX, &self.bucket_suffix);
         w.push(id::OBJ_GROUPS, &self.obj_groups);
         w.push(id::ACTIVE_OBJS, &self.active_objs);
         w.push(id::ACTIVE_OFFSETS, &self.active_offsets);
@@ -1316,14 +1240,9 @@ impl CubeIndex {
             decisive_spans: load_section(store, id::DECISIVE_SPANS)?,
             subspaces: load_section(store, id::SUBSPACES)?,
             min_decisive_len: load_section(store, id::MIN_DECISIVE_LEN)?,
-            posting_offsets: load_section(store, id::POSTING_OFFSETS)?,
-            postings: load_section(store, id::POSTINGS)?,
             decisive_keys: load_section(store, id::DECISIVE_KEYS)?,
             decisive_list_offsets: load_section(store, id::DECISIVE_LIST_OFFSETS)?,
             decisive_lists: load_section(store, id::DECISIVE_LISTS)?,
-            bucket_offsets: load_section(store, id::BUCKET_OFFSETS)?,
-            buckets: load_section(store, id::BUCKETS)?,
-            bucket_suffix: load_section(store, id::BUCKET_SUFFIX)?,
             obj_groups: load_section(store, id::OBJ_GROUPS)?,
             active_objs: load_section(store, id::ACTIVE_OBJS)?,
             active_offsets: load_section(store, id::ACTIVE_OFFSETS)?,
@@ -1340,8 +1259,8 @@ impl CubeIndex {
     /// Structural validation of a loaded index: per-group invariants
     /// (normalized member runs, decisive ⊆ subspace ⊆ full space), CSR
     /// shape checks, and cursor-walk cross-checks that tie every derived
-    /// structure (postings, buckets, decisive lists, object CSR, frequency
-    /// counts and ranking) back to the group tables in one linear pass.
+    /// structure (decisive lists, object CSR, frequency counts and ranking)
+    /// back to the group tables in one linear pass.
     fn validate_loaded(&self, num_groups: usize) -> Result<(), Error> {
         let dims = self.dims;
         let n = self.num_objects;
@@ -1363,18 +1282,6 @@ impl CubeIndex {
             num_groups,
             self.members.len(),
             "member_offsets",
-        )?;
-        check_offsets(
-            &self.posting_offsets,
-            dims,
-            self.postings.len(),
-            "posting_offsets",
-        )?;
-        check_offsets(
-            &self.bucket_offsets,
-            dims,
-            self.buckets.len(),
-            "bucket_offsets",
         )?;
         check_offsets(
             &self.decisive_list_offsets,
@@ -1410,17 +1317,6 @@ impl CubeIndex {
         if self.decisive_list_offsets.windows(2).any(|w| w[0] == w[1]) {
             return Err(corrupt("section decisive_lists: empty posting list"));
         }
-        if self.bucket_suffix.len() != dims.max(1) {
-            return Err(corrupt("section bucket_suffix: wrong length"));
-        }
-        let bucket_total = self.bucket_offsets[dims];
-        for k in 0..dims {
-            if self.bucket_suffix[k] != bucket_total - self.bucket_offsets[k] {
-                return Err(corrupt(format!(
-                    "section bucket_suffix: entry {k} disagrees with the bucket layout"
-                )));
-            }
-        }
         // Cursor walks: re-derive the exact sequence every posting-style
         // structure must contain by walking the groups once, comparing
         // in-place — O(total index size), no allocation beyond the cursors.
@@ -1437,16 +1333,10 @@ impl CubeIndex {
         let decisive_keys = &*self.decisive_keys;
         let decisive_list_offsets = &*self.decisive_list_offsets;
         let decisive_lists = &*self.decisive_lists;
-        let posting_offsets = &*self.posting_offsets;
-        let postings = &*self.postings;
-        let bucket_offsets = &*self.bucket_offsets;
-        let buckets = &*self.buckets;
         let active_objs = &*self.active_objs;
         let active_offsets = &*self.active_offsets;
         let active_freq = &*self.active_freq;
         let obj_groups = &*self.obj_groups;
-        let mut pcur: Vec<usize> = (0..dims).map(|d| posting_offsets[d] as usize).collect();
-        let mut bcur: Vec<usize> = (0..dims).map(|k| bucket_offsets[k] as usize).collect();
         let mut dcur: Vec<usize> = (0..decisive_keys.len())
             .map(|i| decisive_list_offsets[i] as usize)
             .collect();
@@ -1509,33 +1399,6 @@ impl CubeIndex {
             if cov == 0 || cov > 1u64 << b.len() {
                 return Err(corrupt(format!(
                     "group {gi}: covered-subspace count {cov} outside 1..=2^|B|"
-                )));
-            }
-            for d in b.iter() {
-                if pcur[d] >= posting_offsets[d + 1] as usize || postings[pcur[d]] != gi as u32 {
-                    return Err(corrupt(format!(
-                        "section postings: list for dimension {d} does not enumerate its groups"
-                    )));
-                }
-                pcur[d] += 1;
-            }
-            let k = b.len() - 1;
-            if bcur[k] >= bucket_offsets[k + 1] as usize || buckets[bcur[k]] != gi as u32 {
-                return Err(corrupt(format!(
-                    "section buckets: bucket {k} does not enumerate its groups"
-                )));
-            }
-            bcur[k] += 1;
-        }
-        for d in 0..dims {
-            if pcur[d] != posting_offsets[d + 1] as usize {
-                return Err(corrupt(format!(
-                    "section postings: extra entries for dimension {d}"
-                )));
-            }
-            if bcur[d] != bucket_offsets[d + 1] as usize {
-                return Err(corrupt(format!(
-                    "section buckets: extra entries in bucket {d}"
                 )));
             }
         }
@@ -1661,19 +1524,6 @@ fn pair_fingerprint(o: ObjId, f: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Flatten a `Vec<Vec<u32>>` into the `(offsets, values)` CSR pair the
-/// section layout stores.
-fn flatten_csr(lists: &[Vec<u32>]) -> (Vec<u64>, Vec<u32>) {
-    let mut offsets = Vec::with_capacity(lists.len() + 1);
-    let mut values = Vec::with_capacity(lists.iter().map(Vec::len).sum());
-    offsets.push(0u64);
-    for list in lists {
-        values.extend_from_slice(list);
-        offsets.push(values.len() as u64);
-    }
-    (offsets, values)
 }
 
 /// Merge two sorted runs into `out`, deduplicating.

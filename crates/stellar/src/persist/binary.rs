@@ -10,7 +10,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "SKYBIN01"
-//! 8       4     format version (currently 1)
+//! 8       4     format version (currently 2; 1 is still read)
 //! 12      4     endian probe 0x0102_0304
 //! 16      4     dims
 //! 20      4     num_sections
@@ -26,6 +26,11 @@
 //! and each directory entry (32 bytes) are multiples of [`SECTION_ALIGN`].
 //! Section ids live in [`crate::index::section_id`]; ids are never reused,
 //! and any layout change bumps `VERSION` rather than repurposing an id.
+//!
+//! Version 2 dropped five sections of version 1: the per-dimension posting
+//! lists (ids 7 and 8) and the popcount buckets (ids 12–14). A version-1
+//! file still loads. Its retired sections are checksum-verified like every
+//! other section, and nothing reads them.
 
 use crate::cube::CompressedSkylineCube;
 use crate::index::{corrupt, section_id, CubeIndex};
@@ -42,7 +47,12 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"SKYBIN01";
 
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
+
+/// The oldest format version this build reads: version 1 differs only by
+/// five sections the loader ignores, so a checkpoint written before the
+/// upgrade still recovers.
+const OLDEST_READABLE: u32 = 1;
 
 /// Written natively, compared on load: a mismatch means the file came from
 /// a machine with the other byte order and must be rejected, not decoded.
@@ -136,9 +146,10 @@ pub(super) fn read_cube_binary_buf(buf: Arc<AlignedBytes>) -> Result<CompressedS
         return Err(corrupt("bad magic: not a binary skycube file"));
     }
     let version = read_u32(bytes, 8);
-    if version != VERSION {
+    if !(OLDEST_READABLE..=VERSION).contains(&version) {
         return Err(corrupt(format!(
-            "unsupported binary format version {version} (this build reads {VERSION})"
+            "unsupported binary format version {version} (this build reads versions \
+             {OLDEST_READABLE} to {VERSION})"
         )));
     }
     if read_u32(bytes, 12) != ENDIAN_PROBE {

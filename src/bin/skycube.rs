@@ -338,9 +338,11 @@ fn maintain_report(ds: &Dataset, engine: &mut StellarEngine, reps: usize) -> Res
     Ok(())
 }
 
+/// `--space`: a query subspace token as the workload grammar reads it, that
+/// must also lie within the cube's `dims`-dimensional full space.
 fn parse_space(s: &str, dims: usize) -> Result<DimMask, String> {
-    let m = DimMask::parse(s).ok_or_else(|| format!("bad subspace {s:?}"))?;
-    if m.is_empty() || !m.is_subset_of(DimMask::full(dims)) {
+    let m = skycube::serve::parse_space(s)?;
+    if !m.is_subset_of(DimMask::full(dims)) {
         return Err(format!("subspace {s:?} not within the {dims}-d full space"));
     }
     Ok(m)

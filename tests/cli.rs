@@ -401,6 +401,50 @@ fn out_of_range_space_letters_are_diagnosed() {
 }
 
 #[test]
+fn repeated_space_letters_are_refused() {
+    // `--space` reads a subspace as the workload grammar does: a repeated
+    // letter is a typo, refused rather than collapsed (AA is not A).
+    let dir = tmpdir("space_repeat");
+    let data = dir.join("d.csv");
+    let cube = dir.join("c.txt");
+    let cube_s = cube.to_str().unwrap();
+    run(&[
+        "generate",
+        "--dist",
+        "independent",
+        "--count",
+        "50",
+        "--dims",
+        "4",
+        "--out",
+        data.to_str().unwrap(),
+    ]);
+    run(&["build", "--data", data.to_str().unwrap(), "--out", cube_s]);
+    for space in ["AA", "ADA"] {
+        for args in [
+            vec!["skyline", "--cube", cube_s, "--space", space],
+            vec![
+                "member", "--cube", cube_s, "--object", "0", "--space", space,
+            ],
+        ] {
+            let out = run(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+            let err = stderr(&out);
+            assert!(
+                err.contains(&format!("bad subspace \"{space}\""))
+                    && err.contains("dimension letters must not repeat"),
+                "{args:?}: {err}"
+            );
+            assert!(stdout(&out).is_empty(), "{args:?}: {}", stdout(&out));
+        }
+    }
+    // The letters once each still answer.
+    let out = run(&["skyline", "--cube", cube_s, "--space", "AD"]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(stdout(&out).contains("skyline(AD) has"));
+}
+
+#[test]
 fn threads_option_is_validated_and_honored() {
     let dir = tmpdir("threads");
     let data = dir.join("d.csv");

@@ -521,7 +521,7 @@ proptest! {
     fn cold_and_memo_warm_index_agree_with_scan(ds in paper_dataset()) {
         // The index's contract: for every subspace of a cube built at any
         // thread count, the cold index
-        // (memo emptied before each query, so the posting prefilter runs)
+        // (memo emptied before each query, so the prefilter runs)
         // and the memo-warm index equal the cube's scan path, through
         // both merge routes, and the scan path equals the naive skyline.
         // The warming sweep runs parents first so ancestor hits seed the
@@ -838,5 +838,188 @@ fn persist_roundtrip_with_extreme_values_and_long_ties() {
     }
     for o in 0..ds.len() as ObjId {
         assert_eq!(back.membership_count(o), cube.membership_count(o));
+    }
+}
+
+/// Cold queries on few groups in many dimensions: most subspaces `A` have
+/// more subsets than the index has groups, so the prefilter loops over
+/// every group instead of taking the decisive route. Both give the scan
+/// path's answer, and the loop examines exactly the group count and stores
+/// nothing in the memo.
+#[test]
+fn loop_over_all_groups_answers_like_the_scan() {
+    use skycube::stellar::{CubeIndex, IndexScratch, MemoOutcome};
+    let ds = generate(Distribution::Correlated, 300, 12, 3);
+    let cube = compute_cube(&ds);
+    let index = CubeIndex::build(&cube);
+    let n = index.num_groups();
+    let mut scratch = IndexScratch::default();
+    let mut out = Vec::new();
+    let (mut looped, mut decisive) = (0, 0);
+    for space in ds.full_space().subsets() {
+        index.invalidate_memo();
+        let probe = index
+            .try_subspace_skyline_into(space, &mut scratch, &mut out)
+            .unwrap();
+        assert_eq!(probe.memo, MemoOutcome::Miss, "subspace {space}");
+        assert_eq!(out, cube.subspace_skyline(space), "subspace {space}");
+        if (1u64 << space.len()) - 1 > n as u64 {
+            assert_eq!(probe.candidates, n, "subspace {space}");
+            assert_eq!(index.memo_stats().entries, 0, "subspace {space}");
+            looped += 1;
+        } else {
+            decisive += 1;
+        }
+    }
+    assert!(looped > 0, "no subspace looped over the {n} groups");
+    assert!(decisive > 0, "no subspace took the decisive route");
+}
+
+/// The reference for the covered-subspace counts: every subset `A` of `B`,
+/// tested against every decisive. Entry `k − 1` counts the covered
+/// `k`-dimensional subsets.
+fn enumerated_by_size(dims: usize, b: DimMask, decisive: &[DimMask]) -> Vec<u64> {
+    let mut out = vec![0u64; dims];
+    for a in b.subsets() {
+        if decisive.iter().any(|c| c.is_subset_of(a)) {
+            out[a.len() - 1] += 1;
+        }
+    }
+    out
+}
+
+/// A cube of one group `(B, decisive)` with one member in 12 dimensions
+/// counts its covered subspaces as the enumeration does: by size, in
+/// total, and as the member's membership count on the scan path and in
+/// the index.
+fn assert_counts_match_enumeration(b: DimMask, decisive: Vec<DimMask>) {
+    const DIMS: usize = 12;
+    let want = enumerated_by_size(DIMS, b, &decisive);
+    let total: u64 = want.iter().sum();
+    let group = SkylineGroup::new(vec![0], b, decisive);
+    let cube = CompressedSkylineCube::new(DIMS, 1, vec![0], vec![group.clone()]);
+    assert_eq!(cube.skycube_sizes_by_dimensionality(), want, "{group:?}");
+    assert_eq!(cube.skycube_size(), total, "{group:?}");
+    assert_eq!(cube.membership_count(0), total, "{group:?}");
+    let index = skycube::stellar::CubeIndex::build(&cube);
+    assert_eq!(index.membership_count(0), total, "{group:?}");
+}
+
+/// Strategy: a random antichain inside a random `B` of at most 12
+/// dimensions. Each raw draw becomes a singleton, a subset of `B` of half
+/// its size (a few of them make an antichain wider than `|B|`), or an
+/// arbitrary subset of `B` overlapping the others; the draws are then
+/// reduced to their minimal elements.
+fn antichain() -> impl Strategy<Value = (DimMask, Vec<DimMask>)> {
+    (1u32..1 << 12, vec((0u32..1 << 12, 0u8..3), 1..=40)).prop_map(|(bits, raw)| {
+        let b = DimMask(bits);
+        let mut cs: Vec<DimMask> = raw
+            .into_iter()
+            .filter_map(|(bits, kind)| {
+                let m = DimMask(bits) & b;
+                let c = match kind {
+                    0 => m.first().map_or(DimMask::EMPTY, DimMask::single),
+                    1 => {
+                        let half = b.len().div_ceil(2);
+                        DimMask::from_dims(m.iter().chain((b - m).iter()).take(half))
+                    }
+                    _ => m,
+                };
+                (!c.is_empty()).then_some(c)
+            })
+            .collect();
+        cs.sort_unstable();
+        cs.dedup();
+        let minimal: Vec<DimMask> = cs
+            .iter()
+            .copied()
+            .filter(|&c| !cs.iter().any(|&o| o.is_proper_subset_of(c)))
+            .collect();
+        if minimal.is_empty() {
+            (b, vec![b])
+        } else {
+            (b, minimal)
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn covered_counts_match_enumeration((b, decisive) in antichain()) {
+        assert_counts_match_enumeration(b, decisive);
+    }
+}
+
+#[test]
+fn antichain_wider_than_its_subspace_counts_exactly() {
+    // All C(6,3) = 20 three-dimensional subsets of a 6-d space: covered are
+    // the subspaces of size ≥ 3, C(6,3) + C(6,4) + C(6,5) + C(6,6).
+    let b = DimMask::full(6);
+    let decisive: Vec<DimMask> = b.subsets().filter(|s| s.len() == 3).collect();
+    assert_eq!(decisive.len(), 20);
+    let want = enumerated_by_size(12, b, &decisive);
+    assert_eq!(want[..6], [0, 0, 20, 15, 6, 1]);
+    assert_counts_match_enumeration(b, decisive);
+}
+
+/// A binary cube of format version 1, written by `skycube build --format
+/// binary` from `skycube generate --dist independent --count 300 --dims 4
+/// --seed 7` before version 2 dropped the per-dimension posting lists and
+/// the popcount buckets. The format is native-endian; this file is
+/// little-endian.
+#[cfg(target_endian = "little")]
+const VERSION_1_CUBE: &[u8] =
+    include_bytes!("../crates/stellar/testdata/cube-v1-independent-300x4-seed7.bin");
+
+#[cfg(target_endian = "little")]
+#[test]
+fn version_1_cube_still_loads_and_answers() {
+    assert_eq!(VERSION_1_CUBE[8..12], 1u32.to_le_bytes());
+    let ds = generate(Distribution::Independent, 300, 4, 7);
+    let cube = compute_cube(&ds);
+    let back = skycube::stellar::read_cube_binary(VERSION_1_CUBE).unwrap();
+    assert!(back.index().is_loaded());
+    assert_eq!(back.seeds(), cube.seeds());
+    assert_eq!(back.num_groups(), cube.num_groups());
+    for space in ds.full_space().subsets() {
+        assert_eq!(
+            back.index().subspace_skyline(space),
+            cube.subspace_skyline(space),
+            "subspace {space}"
+        );
+    }
+    for o in 0..ds.len() as ObjId {
+        assert_eq!(
+            back.index().membership_count(o),
+            cube.membership_count(o),
+            "object {o}"
+        );
+    }
+    assert_eq!(
+        back.index().top_k_frequent(ds.len()),
+        cube.top_k_frequent(ds.len())
+    );
+    // Written again, it is a smaller version-2 file with the same answers.
+    let mut rewritten = Vec::new();
+    skycube::stellar::write_cube_binary(&back, &mut rewritten).unwrap();
+    assert_eq!(rewritten[8..12], 2u32.to_le_bytes());
+    assert!(rewritten.len() < VERSION_1_CUBE.len());
+    let again = skycube::stellar::read_cube_binary(&rewritten).unwrap();
+    assert_eq!(
+        again.index().top_k_frequent(ds.len()),
+        cube.top_k_frequent(ds.len())
+    );
+    // A version this build does not read is refused by its number.
+    for version in [0u32, 3] {
+        let mut bad = rewritten.clone();
+        bad[8..12].copy_from_slice(&version.to_le_bytes());
+        match skycube::stellar::read_cube_binary(&bad) {
+            Err(skycube_types::Error::Corrupt { what, .. }) => {
+                assert!(what.contains(&format!("version {version}")), "{what}");
+            }
+            other => panic!("version {version}: expected Corrupt, got {other:?}"),
+        }
     }
 }

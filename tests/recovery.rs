@@ -308,6 +308,39 @@ fn first_replayed_seed_change_rederives_from_the_checkpoint_cube() {
     }
 }
 
+/// A checkpoint written before binary format version 2 still recovers: its
+/// cube file is the version-1 test fixture, whose rows the checkpoint
+/// holds, and the recovered engine serves that cube and patches it.
+#[cfg(target_endian = "little")]
+#[test]
+fn a_version_1_checkpoint_cube_still_recovers() {
+    let ds = generate(Distribution::Independent, 300, 4, 7);
+    let dir = tmpdir("v1-checkpoint");
+    let path = dir.join("d.wal");
+    let cube = compute_cube(&ds);
+    skycube::serve::wal::write_checkpoint(&path, &ds, &cube, 1).expect("write checkpoint");
+    std::fs::write(
+        dir.join("d.wal.ckpt1.cube"),
+        include_bytes!("../crates/stellar/testdata/cube-v1-independent-300x4-seed7.bin"),
+    )
+    .expect("swap in the version-1 cube");
+    let mut wal = Wal::create(&path, ds.dims(), 1).expect("create wal");
+    wal.append_delete(0).expect("append");
+    drop(wal);
+    let rec = skycube::serve::recover(&path, &ds, Stellar::new()).expect("recover");
+    assert!(rec.from_checkpoint, "the checkpoint was not used");
+    assert_eq!(rec.replayed, 1);
+    let fresh = compute_cube(rec.engine.rows());
+    for space in ds.full_space().subsets() {
+        assert_eq!(
+            rec.engine.cube().subspace_skyline(space),
+            fresh.subspace_skyline(space),
+            "{space}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Property tests: replay ≡ rebuild, torn tails never panic
 // ---------------------------------------------------------------------------
